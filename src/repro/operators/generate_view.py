@@ -26,7 +26,6 @@ shortest-path ``Compose``.
 from __future__ import annotations
 
 import dataclasses
-from collections import defaultdict
 from collections.abc import Callable, Iterable, Sequence
 
 from repro.gam.enums import CombineMethod
@@ -130,31 +129,26 @@ def generate_view(
 def _sub_mapping(
     mapping: Mapping, relevant: Sequence[str], spec: TargetSpec
 ) -> dict[str, list[str | None]]:
-    """The per-target join partner lists: mi of Figure 5, keyed by S."""
-    # mi = RestrictRange(RestrictDomain(Mi, s), ti)
-    restricted = mapping.restrict_domain(relevant)
-    if spec.restrict is not None:
-        restricted = restricted.restrict_range(spec.restrict)
-    if not spec.negated:
-        return _partners(restricted)
-    # si' = s \ Domain(mi); mi' = RestrictDomain(Mi, si')
-    uninvolved = set(relevant) - restricted.domain()
-    fallback = mapping.restrict_domain(uninvolved)
-    partners = _partners(fallback)
-    # mi = mi' right outer join si' on S: keep objects without associations.
-    for obj in uninvolved:
-        partners.setdefault(obj, [None])
+    """The per-target join partner lists: mi of Figure 5, keyed by S.
+
+    Each relevant object probes the mapping's memoized per-source
+    grouping once, so the cost follows the upload, not the mapping.
+    """
+    grouped = mapping._grouped()
+    restrict = spec.restrict
+    partners: dict[str, list[str | None]] = {}
+    for obj in relevant:
+        targets = {assoc.target_accession for assoc in grouped.get(obj, ())}
+        # mi = RestrictRange(RestrictDomain(Mi, s), ti), for this object
+        hits = targets if restrict is None else targets.intersection(restrict)
+        if not spec.negated:
+            if hits:
+                partners[obj] = sorted(hits)
+        elif not hits:
+            # obj is in si' = s \ Domain(mi): mi' = RestrictDomain(Mi, si')
+            # right outer join si' keeps it, as NULL when it has no partner.
+            partners[obj] = sorted(targets) or [None]
     return partners
-
-
-def _partners(mapping: Mapping) -> dict[str, list[str | None]]:
-    grouped: dict[str, list[str | None]] = defaultdict(list)
-    for assoc in mapping:
-        if assoc.target_accession not in grouped[assoc.source_accession]:
-            grouped[assoc.source_accession].append(assoc.target_accession)
-    for partners in grouped.values():
-        partners.sort(key=lambda value: (value is None, value or ""))
-    return dict(grouped)
 
 
 def _join(

@@ -899,6 +899,10 @@ def _parse_body_spec(environ: dict) -> QuerySpec:
         length = int(environ.get("CONTENT_LENGTH") or 0)
     except ValueError:
         length = 0
+    if length < 0:
+        # read(-1) reads to EOF: the client's socket would hold this
+        # worker thread until the client hung up.
+        raise ApiError(400, f"invalid Content-Length: {length}")
     raw = environ["wsgi.input"].read(length) if length else b""
     if not raw:
         raise ApiError(400, "request body required")

@@ -13,12 +13,18 @@ The encoder is **byte-identical** to ``json.dumps(payload, indent=2)``
 over the materialized payload — asserted by the edge test suite — so
 clients, checksums and the `ETag` protocol cannot tell the two paths
 apart; only the server's memory profile differs (``docs/http_api.md``).
+
+With ``indent`` set, ``json.dumps`` runs CPython's pure-Python encoder.
+Flat rows of scalars — every view row and every ``/map`` row — skip it:
+their cells go through json's C string encoder one at a time.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterable, Iterator
+from json.encoder import encode_basestring_ascii
 
 #: Target size of one yielded body chunk (bytes of UTF-8 text).
 DEFAULT_CHUNK_BYTES = 32 * 1024
@@ -35,6 +41,47 @@ def _nested(value: object, level: int) -> str:
     if "\n" not in text:
         return text
     return text.replace("\n", "\n" + "  " * level)
+
+
+def _float_text(value: float) -> str:
+    """A float as ``json.dumps`` spells it (``allow_nan`` on)."""
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+_CONSTANT_TEXT = {None: "null", True: "true", False: "false"}.__getitem__
+
+#: Exact cell type -> the cell's JSON text.  Subclasses (an ``IntEnum``,
+#: a ``str`` subclass) are left to ``json.dumps``.
+_CELL_TEXT = {
+    str: encode_basestring_ascii,
+    type(None): _CONSTANT_TEXT,
+    bool: _CONSTANT_TEXT,
+    int: int.__repr__,
+    float: _float_text,
+}
+
+
+def _row_text(row: object) -> str:
+    """``_nested(row, 2)``: one element of the streamed array.
+
+    A non-empty list or tuple of scalars is encoded cell by cell; every
+    other row (an object-listing dict, nested values, an empty row) goes
+    through ``json.dumps``.
+    """
+    if type(row) in (list, tuple) and row:
+        try:
+            cells = [_CELL_TEXT[type(cell)](cell) for cell in row]
+        except KeyError:
+            pass
+        else:
+            return "[\n      " + ",\n      ".join(cells) + "\n    ]"
+    return _nested(row, 2)
 
 
 class StreamJson:
@@ -84,7 +131,7 @@ class StreamJson:
     def _iter_array(self) -> Iterator[str]:
         first = True
         for row in self.rows:
-            yield ("[" if first else ",") + "\n    " + _nested(row, 2)
+            yield ("[" if first else ",") + "\n    " + _row_text(row)
             first = False
         yield "[]" if first else "\n  ]"
 

@@ -34,6 +34,20 @@ def mapping_from(pair_list, source="S", target="T"):
     return Mapping.build(source, target, pair_list)
 
 
+#: GenerateView worlds draw from few accessions, so that uploads hit the
+#: mappings and objects fan out to several partners.
+view_objects = st.sampled_from(["g1", "g2", "g3", "g4", "g5"])
+view_terms = st.sampled_from(["t1", "t2", "t3", "t4"])
+view_pairs = st.lists(
+    st.tuples(view_objects, view_terms, st.floats(min_value=0.0, max_value=1.0)),
+    max_size=12,
+)
+#: A target's restrict set ti, or None for all of the target's objects.
+restrict_sets = st.none() | st.sets(view_terms, max_size=3)
+#: Uploaded accessions no mapping covers.
+unmapped_accessions = st.sets(st.sampled_from(["x1", "x2"]), max_size=2)
+
+
 @st.composite
 def dag_edges(draw):
     """Child->parent edges guaranteed acyclic (parents have smaller ids)."""
@@ -170,31 +184,45 @@ class TestComposeProperties:
 
 class TestGenerateViewProperties:
     @given(
-        pairs,
-        pairs,
-        st.sets(accessions, min_size=1, max_size=6),
-        st.sampled_from(["AND", "OR"]),
+        view_pairs,
+        view_pairs,
+        st.sets(view_objects, min_size=1),
+        unmapped_accessions,
+        st.tuples(restrict_sets, restrict_sets),
+        st.tuples(st.booleans(), st.booleans()),
         st.booleans(),
+        st.sampled_from(["AND", "OR"]),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_agrees_with_reference(
-        self, hugo_pairs, go_pairs, objects, combine, negate_second
+        self,
+        hugo_pairs,
+        go_pairs,
+        objects,
+        unmapped,
+        restricts,
+        negations,
+        go_stored_reversed,
+        combine,
     ):
-        world = {
-            "Hugo": mapping_from(hugo_pairs, "S", "Hugo"),
-            "GO": mapping_from(go_pairs, "S", "GO"),
-        }
+        if go_stored_reversed:
+            # As Map returns a mapping stored GO -> S: its associations
+            # come grouped by GO term, not by source object.
+            reversed_pairs = [(go, obj, ev) for obj, go, ev in go_pairs]
+            go = mapping_from(reversed_pairs, "GO", "S").invert()
+        else:
+            go = mapping_from(go_pairs, "S", "GO")
+        world = {"Hugo": mapping_from(hugo_pairs, "S", "Hugo"), "GO": go}
         specs = [
-            TargetSpec.of("Hugo"),
-            TargetSpec.of("GO", negated=negate_second),
+            TargetSpec.of(name, restrict=restrict, negated=negated)
+            for name, restrict, negated in zip(("Hugo", "GO"), restricts, negations)
         ]
-        view = generate_view(
-            make_resolver(world), "S", objects, specs, combine
-        )
+        upload = objects | unmapped
+        view = generate_view(make_resolver(world), "S", upload, specs, combine)
         expected = reference_generate_view(
-            world, "S", objects, specs, CombineMethod.parse(combine)
+            world, "S", upload, specs, CombineMethod.parse(combine)
         )
-        assert set(view.rows) == expected
+        assert list(view.rows) == expected
 
     @given(pairs, st.sets(accessions, min_size=1, max_size=6))
     def test_or_view_covers_all_objects(self, hugo_pairs, objects):

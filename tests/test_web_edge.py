@@ -11,17 +11,27 @@ from __future__ import annotations
 
 import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import MetricsRegistry
 from repro.reliability.ratelimit import RateLimiter
+from repro.web import streaming
 from repro.web.app import create_app
 from repro.web.streaming import StreamJson, encode_chunks
 
 
-def call(app, method, path, query="", body=None, headers=None):
-    """Invoke a WSGI app; returns (status, headers dict, raw bytes)."""
+def call(
+    app, method, path, query="", body=None, headers=None, environ_overrides=None
+):
+    """Invoke a WSGI app; returns (status, headers dict, raw bytes).
+
+    ``environ_overrides`` entries replace the ones built from the
+    arguments.
+    """
     raw = json.dumps(body).encode() if body is not None else b""
     environ = {
         "REQUEST_METHOD": method,
@@ -30,6 +40,7 @@ def call(app, method, path, query="", body=None, headers=None):
         "CONTENT_LENGTH": str(len(raw)),
         "REMOTE_ADDR": "127.0.0.1",
         "wsgi.input": io.BytesIO(raw),
+        **(environ_overrides or {}),
     }
     for name, value in (headers or {}).items():
         environ["HTTP_" + name.upper().replace("-", "_")] = value
@@ -186,6 +197,33 @@ class TestRequestValidation:
         status, _, payload = get_json(small_app, "/sources/GO/objects", "limit=")
         assert status == 200
         assert payload["limit"] == 100
+
+    @pytest.mark.parametrize("path", ["/query", "/query/explain"])
+    def test_negative_content_length_is_400_without_reading(
+        self, small_app, path
+    ):
+        class SocketInput(io.BytesIO):
+            """A request body that, like a socket, never reaches EOF."""
+
+            def read(self, size=-1):
+                if size is None or size < 0:
+                    raise AssertionError(f"read({size}) blocks until hang-up")
+                return super().read(size)
+
+        body = b'{"query": "ANNOTATE LocusLink WITH GO"}'
+        status, headers, raw = call(
+            small_app,
+            "POST",
+            path,
+            environ_overrides={
+                "CONTENT_LENGTH": "-1",
+                "wsgi.input": SocketInput(body),
+            },
+        )
+        payload = json.loads(raw)
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+        assert payload["request_id"] == headers["X-Request-ID"]
 
 
 class TestMultiVia:
@@ -380,7 +418,64 @@ class TestStreaming:
         assert counter.value == 1
 
 
+#: Strings json escapes: quotes, backslashes, control characters, the
+#: JavaScript line separators and astral characters (surrogate pairs).
+tricky_strings = st.sampled_from(
+    ['"', "\\", '\\"', "\x00\x1f\x7f", "\n\t\r", "\u2028\u2029", "\U0001f9ec"]
+)
+#: Floats whose text differs between spellings, and the non-finite ones.
+tricky_floats = st.sampled_from(
+    [0.1, 1e-7, 1e16, -0.0, math.nan, math.inf, -math.inf]
+)
+scalar_cells = st.one_of(
+    st.text(max_size=6),
+    tricky_strings,
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    tricky_floats,
+)
+stream_rows = st.one_of(
+    st.lists(scalar_cells, max_size=4),
+    st.tuples(scalar_cells, scalar_cells, scalar_cells),
+    st.dictionaries(st.text(max_size=3), scalar_cells, max_size=3),
+    st.lists(
+        st.one_of(
+            scalar_cells,
+            st.lists(scalar_cells, max_size=2),
+            st.dictionaries(st.text(max_size=2), scalar_cells, max_size=2),
+        ),
+        max_size=3,
+    ),
+)
+
+
 class TestStreamJsonEncoder:
+    @given(st.lists(stream_rows, max_size=6), st.integers(1, 64))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_encode_byte_identically(self, rows, chunk_bytes):
+        payload = {"source": "S", "rows": None, "total": len(rows)}
+        streamed = StreamJson(dict(payload), "rows", iter(rows))
+        body = b"".join(streamed.encode(chunk_bytes=chunk_bytes))
+        assert body == json.dumps({**payload, "rows": rows}, indent=2).encode()
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            ("AFFX-1", "IPR000001", None),
+            ["LL:1", "GO:0005515", 0.25],
+            ["a", 1, True, False, math.nan],
+        ],
+    )
+    def test_flat_rows_skip_json_dumps(self, monkeypatch, row):
+        def refuse(value, level):
+            raise AssertionError(f"{value!r} took the json.dumps path")
+
+        monkeypatch.setattr(streaming, "_nested", refuse)
+        body = b"".join(StreamJson({"rows": None}, "rows", [row]).encode())
+        assert body == json.dumps({"rows": [row]}, indent=2).encode()
+
     def test_byte_identity_over_tricky_payloads(self):
         cases = [
             ({"rows": None}, "rows", []),
