@@ -82,101 +82,3 @@ def test_bench_threaded_reads(benchmark, configured_genmapper):
         f"{N_THREADS} threads x {READS_PER_THREAD} mixed reads, on-disk WAL"
     )
     benchmark.extra_info["threads"] = N_THREADS
-
-
-# -- sharded engine: readers during an in-flight image flip ------------------
-#
-# The zero-downtime claim of docs/storage.md, measured: while one source
-# is being re-imported through a copy-on-write image flip, readers of a
-# *different* source (a different shard file) keep answering at their
-# usual latency — they never queue behind the flip and never observe a
-# partially rebuilt image.  Latency is compared as medians with a
-# generous factor: on a single-core runner the flip's copy work steals
-# CPU from readers, which is scheduler contention, not lock contention.
-
-FLIP_READS = 60
-MAX_FLIP_READ_SLOWDOWN = 5.0
-
-
-def _sharded_two_source_db(tmp_path_factory):
-    from repro.gam.repository import GamRepository
-    from repro.gam.shards import ShardedGamDatabase
-
-    directory = tmp_path_factory.mktemp("bench_flip")
-    db = ShardedGamDatabase(str(directory / "g.db"))
-    repo = GamRepository(db)
-    for name in ("Flipping", "Steady"):
-        repo.add_source(name)
-        src = repo.get_source(name)
-        repo.add_objects(
-            src,
-            [(f"{name.lower()}-{i}", f"text {i}", float(i)) for i in range(2000)],
-        )
-    return db, repo
-
-
-def _read_latencies(db, source_id, n_reads):
-    import time as _time
-
-    latencies = []
-    for i in range(n_reads):
-        start = _time.perf_counter()
-        db.execute_read(
-            "SELECT count(*), max(accession) FROM object WHERE source_id = ?",
-            (source_id,),
-        ).fetchone()
-        latencies.append(_time.perf_counter() - start)
-    return latencies
-
-
-def test_readers_unaffected_by_inflight_flip(tmp_path_factory):
-    import statistics
-    import threading as _threading
-
-    db, repo = _sharded_two_source_db(tmp_path_factory)
-    try:
-        steady = repo.get_source("Steady")
-        flipping = repo.get_source("Flipping")
-        idle = _read_latencies(db, steady.source_id, FLIP_READS)
-
-        stop = _threading.Event()
-        flip_errors = []
-
-        def flipper():
-            try:
-                while not stop.is_set():
-                    with db.image_flip("Flipping"):
-                        with db.write_scope("Flipping"), db.transaction():
-                            db.execute(
-                                "DELETE FROM object WHERE source_id = ?"
-                                " AND accession LIKE 'refresh-%'",
-                                (flipping.source_id,),
-                            )
-                            for i in range(50):
-                                db.execute(
-                                    "INSERT INTO object"
-                                    " (source_id, accession)"
-                                    " VALUES (?, ?)",
-                                    (flipping.source_id, f"refresh-{i}"),
-                                )
-            except Exception as exc:  # pragma: no cover - failure detail
-                flip_errors.append(exc)
-
-        thread = _threading.Thread(target=flipper)
-        thread.start()
-        try:
-            during = _read_latencies(db, steady.source_id, FLIP_READS)
-        finally:
-            stop.set()
-            thread.join(timeout=60)
-        assert not flip_errors
-        idle_median = statistics.median(idle)
-        during_median = statistics.median(during)
-        slowdown = during_median / idle_median if idle_median else 1.0
-        assert slowdown <= MAX_FLIP_READ_SLOWDOWN, (
-            f"steady-shard read latency {slowdown:.1f}x worse during an"
-            f" in-flight flip (idle {idle_median * 1e6:.0f}us,"
-            f" during {during_median * 1e6:.0f}us)"
-        )
-    finally:
-        db.close()

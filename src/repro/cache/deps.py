@@ -23,12 +23,6 @@ The captured set becomes the entry's dependency list in
 max per-source generation of exactly those sources
 (:meth:`repro.gam.database.GamDatabase.generation_of`) — the other half
 of the scoped-invalidation protocol (``docs/performance.md``).
-
-The protocol is storage-engine agnostic: on the sharded engine
-(:mod:`repro.gam.shards`) a scoped write — including an atomic image
-flip re-importing one source — bumps exactly the generations of the
-sources it names, so warm entries for mappings on untouched shards keep
-validating against unchanged generations and survive the flip.
 """
 
 from __future__ import annotations

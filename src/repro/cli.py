@@ -208,30 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also prune objects left without associations")
 
     cmd = commands.add_parser(
-        "shard", help="inspect the sharded storage layout"
-    )
-    cmd.add_argument("action", choices=("status",),
-                     help="status: print layout, slots and placement")
-    cmd.add_argument("--json", action="store_true",
-                     help="print the raw placement report as JSON")
-
-    cmd = commands.add_parser(
-        "migrate-shards",
-        help="convert a monolithic database to per-source shard files"
-             " in place (see docs/storage.md)",
-    )
-    cmd.add_argument(
-        "--max-shards", type=int, default=None, metavar="N",
-        help="dedicated shard slots before sources share buckets"
-             " (default: 8, bounded by SQLite's ATTACH limit)",
-    )
-    cmd.add_argument(
-        "--no-resume", action="store_true",
-        help="recopy every source even when a checkpoint from an"
-             " interrupted earlier run matches",
-    )
-
-    cmd = commands.add_parser(
         "dump", help="export the whole database as a portable JSON-lines dump"
     )
     cmd.add_argument("path", help="output file")
@@ -391,8 +367,6 @@ def _dispatch(genmapper: GenMapper, args: argparse.Namespace) -> int:
         "match": _cmd_match,
         "diff": _cmd_diff,
         "delete-source": _cmd_delete_source,
-        "shard": _cmd_shard,
-        "migrate-shards": _cmd_migrate_shards,
         "batch": _cmd_batch,
         "dump": _cmd_dump,
         "load": _cmd_load,
@@ -622,52 +596,6 @@ def _cmd_delete_source(genmapper: GenMapper, args: argparse.Namespace) -> int:
     if args.prune:
         pruned = prune_orphan_objects(genmapper.repository)
         print(f"pruned {pruned} orphan objects")
-    return 0
-
-
-def _cmd_shard(genmapper: GenMapper, args: argparse.Namespace) -> int:
-    report = genmapper.repository.placement_report()
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0
-    print(f"layout: {report['layout']}")
-    print(f"path:   {report['path']}")
-    shards = report.get("shards")
-    if not shards:
-        print("(monolithic database — run 'repro migrate-shards' to shard)")
-        return 0
-    print(f"slots:  {shards['slots']} (max {shards['max_shards']},"
-          f" catalog v{shards['catalog_version']})")
-    placement = report.get("placement", {})
-    by_slot: dict[int, list[str]] = {}
-    for name, slot in placement.items():
-        by_slot.setdefault(int(slot), []).append(name)
-    images = shards.get("images", {})
-    for slot in sorted(images, key=int):
-        image = images[slot]
-        names = ", ".join(sorted(by_slot.get(int(slot), []))) or "(empty)"
-        print(f"  shard {slot}: {image['file']}"
-              f" [image g{image['image']}] <- {names}")
-    return 0
-
-
-def _cmd_migrate_shards(genmapper: GenMapper, args: argparse.Namespace) -> int:
-    from repro.gam.shards import DEFAULT_MAX_SHARDS, migrate_to_shards
-
-    if genmapper.db.sharded:
-        print("database already uses the sharded layout")
-        return 0
-    summary = migrate_to_shards(
-        genmapper.db,
-        max_shards=args.max_shards or DEFAULT_MAX_SHARDS,
-        resume=not args.no_resume,
-    )
-    print(f"migrated {summary['migrated']} source(s)"
-          f" ({summary['skipped']} already checkpointed)"
-          f" across {summary['slots']} shard(s);"
-          f" {summary['rows_moved']} rows moved")
-    print("reopen the database to use the sharded engine"
-          " (repro shard status)")
     return 0
 
 

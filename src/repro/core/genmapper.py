@@ -111,9 +111,7 @@ class GenMapper:
         enable_cache: bool | None = None,
         breaker: CircuitBreaker | None = None,
     ) -> None:
-        # open() auto-detects the storage layout (monolithic vs sharded)
-        # of an existing database and honours REPRO_SHARDS for new ones.
-        self.db = GamDatabase.open(path, pool_size=pool_size)
+        self.db = GamDatabase(path, pool_size=pool_size)
         self.repository = GamRepository(self.db)
         self.pipeline = IntegrationPipeline(self.repository)
         self.paths = PathRegistry(self.db)

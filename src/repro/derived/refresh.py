@@ -79,69 +79,23 @@ class RefreshReport:
         )
 
 
-def _object_rel_marks(watermark: "int | dict") -> "int | dict[str, int]":
-    """The ``object_rel`` entry of a watermark argument.
-
-    Accepts a plain row-id, an ImportJournal watermarks dict, or (on the
-    sharded engine) a journal dict whose entries are per-slot dicts.
-    """
+def _watermark_value(watermark: "int | dict[str, int]") -> int:
+    """Accept a plain row-id or an ImportJournal watermarks dict."""
     if isinstance(watermark, dict):
-        return watermark.get("object_rel", 0)
+        return int(watermark.get("object_rel", 0))
     return int(watermark)
 
 
-def _rel_watermark(
-    repository: GamRepository, rel: SourceRel, watermark: "int | dict"
-) -> int:
-    """The ``obj_rel_id`` high-watermark applicable to one relationship.
-
-    Monolithic marks are scalars and apply to every relationship.  The
-    sharded engine records one mark per shard slot — each slot allocates
-    ids from its own stride, so a global max would sit above other
-    shards' fresh rows — and a relationship's rows live in the shard of
-    its ``source1``.  The slot is resolved through the catalog, *not*
-    derived from ids: rows migrated from a monolithic file keep their
-    original (pre-stride) ids.  A relationship placed in a slot created
-    after the snapshot resolves to mark 0: a full — conservative, never
-    skipped — delta.
-    """
-    marks = _object_rel_marks(watermark)
-    if not isinstance(marks, dict):
-        return int(marks)
-    name = repository.get_source(rel.source1_id).name
-    placement = repository.db.shard_placement([name]) or {}
-    slot = placement.get(name)
-    if slot is None:
-        return 0
-    return int(marks.get(str(slot), 0))
-
-
-def _watermark_value(watermark: "int | dict") -> int:
-    """Scalar summary of a watermark argument (reporting only).
-
-    Per-slot marks are summarized as their minimum — the value below
-    which no relationship's delta can start.  Delta correctness always
-    uses :func:`_rel_watermark`, never this summary.
-    """
-    marks = _object_rel_marks(watermark)
-    if isinstance(marks, dict):
-        return min((int(value) for value in marks.values()), default=0)
-    return int(marks)
-
-
 def _count_delta_edges(
-    repository: GamRepository, rel_marks: Sequence[tuple[int, int]]
+    repository: GamRepository, rel_ids: Sequence[int], watermark: int
 ) -> int:
-    """Rows above each relationship's own watermark, summed."""
-    total = 0
-    for rel_id, mark in rel_marks:
-        row = repository.db.execute_read(
-            "SELECT count(*) FROM object_rel"
-            " WHERE src_rel_id = ? AND obj_rel_id > ?",
-            (rel_id, mark),
-        ).fetchone()
-        total += int(row[0])
-    return total
+    placeholders = ", ".join("?" for _ in rel_ids)
+    row = repository.db.execute_read(
+        "SELECT count(*) FROM object_rel"
+        f" WHERE src_rel_id IN ({placeholders}) AND obj_rel_id > ?",
+        (*rel_ids, watermark),
+    ).fetchone()
+    return int(row[0])
 
 
 def _record_delta_rows(changed: int) -> None:
@@ -190,14 +144,8 @@ def refresh_composed(
         resolve_hop_rel(repository, source, target)
         for source, target in zip(names, names[1:])
     ]
-    hop_marks = [
-        _rel_watermark(repository, rel, watermark) for rel, __ in hops
-    ]
-    delta_edges = _count_delta_edges(
-        repository,
-        [(rel.src_rel_id, hop_mark)
-         for (rel, __), hop_mark in zip(hops, hop_marks)],
-    )
+    hop_rel_ids = [rel.src_rel_id for rel, __ in hops]
+    delta_edges = _count_delta_edges(repository, hop_rel_ids, mark)
     with get_tracer().span(
         "operator.refresh_composed",
         path=" -> ".join(names),
@@ -214,11 +162,11 @@ def refresh_composed(
                 changed = 0
             elif use_sql:
                 changed = _refresh_composed_sql(
-                    repository, names, sql_combiner, rel, hop_marks
+                    repository, names, sql_combiner, rel, mark
                 )
             else:
                 changed = _refresh_composed_memory(
-                    repository, names, hops, combiner, rel, hop_marks
+                    repository, names, hops, combiner, rel, mark
                 )
         span.tag(changed=changed)
     _record_delta_rows(changed)
@@ -247,7 +195,7 @@ def _refresh_composed_sql(
     names: Sequence[str],
     combiner: str,
     rel: SourceRel,
-    hop_marks: Sequence[int],
+    watermark: int,
 ) -> int:
     """One delta chain join per hop position, upserted into ``rel``."""
     plan = _chain_join_plan(repository, names, combiner)
@@ -271,7 +219,7 @@ def _refresh_composed_sql(
                 rel.src_rel_id,
                 *plan.join_parameters,
                 plan.first_rel.src_rel_id,
-                hop_marks[hop - 1],
+                watermark,
             ),
         )
         changed += max(cursor.rowcount, 0)
@@ -313,7 +261,7 @@ def _refresh_composed_memory(
     hops: Sequence[tuple[SourceRel, bool]],
     combiner: EvidenceCombiner,
     rel: SourceRel,
-    hop_marks: Sequence[int],
+    watermark: int,
 ) -> int:
     """The Python mirror of :func:`_refresh_composed_sql`.
 
@@ -331,12 +279,7 @@ def _refresh_composed_memory(
         zip(hops, zip(names, names[1:]))
     ):
         delta_leg = _hop_mapping(
-            repository,
-            hop_rel,
-            forward,
-            source,
-            target,
-            min_rowid=hop_marks[index],
+            repository, hop_rel, forward, source, target, min_rowid=watermark
         )
         if delta_leg.is_empty():
             continue
@@ -381,16 +324,12 @@ def refresh_subsumed(
     if engine not in _ENGINES:
         raise ValueError(f"unknown refresh engine {engine!r}")
     src = repository.get_source(source)
+    mark = _watermark_value(watermark)
     is_a_rels = repository.find_source_rels(src, src, RelType.IS_A)
     if not is_a_rels:
         raise UnknownMappingError(src.name, src.name, "no IS_A structure stored")
-    # Intra-source IS_A relationships all live in src's shard, so one
-    # resolved mark covers every rel id.
-    mark = _rel_watermark(repository, is_a_rels[0], watermark)
     rel_ids = tuple(r.src_rel_id for r in is_a_rels)
-    delta_edges = _count_delta_edges(
-        repository, [(rel_id, mark) for rel_id in rel_ids]
-    )
+    delta_edges = _count_delta_edges(repository, rel_ids, mark)
     engine_used = "sql" if engine in ("auto", "sql") else "memory"
     with get_tracer().span(
         "operator.refresh_subsumed",

@@ -43,13 +43,6 @@ from repro.gam.maintenance import (
     vacuum,
 )
 from repro.gam.records import Association, GamObject, ObjectRel, Source, SourceRel
-from repro.gam.shards import (
-    ShardCatalog,
-    ShardedGamDatabase,
-    ShardLockTimeout,
-    ShardRoutingError,
-    migrate_to_shards,
-)
 from repro.gam.statistics import (
     DatabaseStatistics,
     MappingStat,
@@ -91,15 +84,10 @@ __all__ = [
     "PathNotFoundError",
     "QuerySpecError",
     "RelType",
-    "ShardCatalog",
-    "ShardLockTimeout",
-    "ShardRoutingError",
-    "ShardedGamDatabase",
     "Source",
     "SourceContent",
     "SourceRel",
     "SourceStructure",
-    "migrate_to_shards",
     "UnknownMappingError",
     "UnknownObjectError",
     "UnknownSourceError",

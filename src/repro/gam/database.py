@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import os
 import sqlite3
 import threading
 from collections.abc import Iterable, Iterator
@@ -95,80 +94,6 @@ class GamDatabase:
         ``max_attempts=1`` to disable retrying.
     """
 
-    #: True on :class:`repro.gam.shards.ShardedGamDatabase`; write paths
-    #: that restructure for shard parallelism (the importer's source
-    #: pre-registration) key off this instead of ``isinstance``.
-    sharded = False
-
-    #: Statement opening an explicit transaction.  The monolithic engine
-    #: takes the file write lock eagerly (``IMMEDIATE``) because a single
-    #: serialized writer gains nothing from deferral; the sharded engine
-    #: overrides this with a deferred ``BEGIN`` so each attached shard
-    #: file is write-locked lazily, on first write — the property that
-    #: lets transactions on disjoint shards commit in parallel.
-    _begin_sql = "BEGIN IMMEDIATE"
-
-    @classmethod
-    def open(
-        cls,
-        path: str | Path = ":memory:",
-        create: bool = True,
-        pool_size: int | None = None,
-        shards: bool | None = None,
-        **kwargs: object,
-    ) -> "GamDatabase":
-        """Open ``path`` with the storage layout it was built under.
-
-        Layout is auto-detected for existing databases (the ``layout``
-        meta key written by the sharded engine / ``repro migrate-shards``);
-        the ``shards`` argument — defaulting to the ``REPRO_SHARDS``
-        environment variable — only decides the layout of *new* on-disk
-        databases.  In-memory databases are always monolithic: an
-        ``ATTACH``-composed shard would be private to one connection.
-        """
-        from repro.gam.pool import is_memory_path as _is_memory
-
-        path_str = str(path)
-        if not _is_memory(path_str):
-            layout = cls._detect_layout(path_str)
-            if layout is None:
-                if shards is None:
-                    shards = os.environ.get(
-                        "REPRO_SHARDS", ""
-                    ).lower() in {"on", "1", "true", "yes"}
-                layout = (
-                    gam_schema.LAYOUT_SHARDED
-                    if shards
-                    else gam_schema.LAYOUT_MONOLITHIC
-                )
-            if layout == gam_schema.LAYOUT_SHARDED:
-                from repro.gam.shards import ShardedGamDatabase
-
-                return ShardedGamDatabase(
-                    path_str, create=create, pool_size=pool_size, **kwargs
-                )
-        return GamDatabase(
-            path_str, create=create, pool_size=pool_size, **kwargs
-        )
-
-    @staticmethod
-    def _detect_layout(path_str: str) -> str | None:
-        """Layout of an existing database file, or None for a new one."""
-        target = Path(path_str.split("?", 1)[0].removeprefix("file:"))
-        if not target.exists() or target.stat().st_size == 0:
-            return None
-        probe = sqlite3.connect(path_str, uri=path_str.startswith("file:"))
-        try:
-            has_meta = probe.execute(
-                "SELECT name FROM sqlite_master"
-                " WHERE type = 'table' AND name = 'meta'"
-            ).fetchone()
-            if has_meta is None:
-                return gam_schema.LAYOUT_MONOLITHIC
-            return gam_schema.read_layout(probe)
-        finally:
-            probe.close()
-
     def __init__(
         self,
         path: str | Path = ":memory:",
@@ -189,7 +114,7 @@ class GamDatabase:
         #: external commits, which cannot be attributed to specific sources.
         self._source_generations: dict[str, int] = {}
         self._source_floor = 0
-        #: Thread-local stack of active write scopes (frozensets of source
+        #: Thread-local stack of active write scopes (tuples of source
         #: names) plus the per-transaction tag accumulator.
         self._scope_local = threading.local()
         #: Public and swappable: chaos tests install their own injector /
@@ -213,6 +138,7 @@ class GamDatabase:
         )
         try:
             connection = self.pool.acquire()
+            gam_schema.refuse_retired_layout(connection, self.path)
             if create:
                 gam_schema.create_schema(connection)
             else:
@@ -242,60 +168,7 @@ class GamDatabase:
     @property
     def connection(self) -> sqlite3.Connection:
         """The calling thread's pooled connection (row factory: ``Row``)."""
-        return self._lease()
-
-    # -- engine seams ------------------------------------------------------
-    #
-    # The sharded engine (repro.gam.shards.ShardedGamDatabase) reuses every
-    # public method of this class by overriding the narrow seams below:
-    # how a connection is leased and refreshed (_lease/_on_acquire), which
-    # locks a write takes (_write_guard/_txn_guard), and how a mutating
-    # statement reaches the file (_execute_write/_executemany_write, where
-    # table references are rewritten to shard-qualified names).
-
-    def _lease(self) -> sqlite3.Connection:
-        """Lease the thread's connection and let subclasses refresh it."""
-        connection = self.pool.acquire()
-        self._on_acquire(connection)
-        return connection
-
-    def _on_acquire(self, connection: sqlite3.Connection) -> None:
-        """Hook run on every lease (sharded: re-sync shard attachments)."""
-
-    @contextlib.contextmanager
-    def _write_guard(self, sql: str) -> Iterator[None]:
-        """Locks held around one mutating statement (or batch).
-
-        The monolithic engine serializes every writer behind one process
-        lock; the sharded engine inspects ``sql`` and takes only the
-        affected shard's lock instead.
-        """
-        with self._write_lock:
-            yield
-
-    @contextlib.contextmanager
-    def _txn_guard(self, all_shards: bool = False) -> Iterator[None]:
-        """Locks held for the duration of a :meth:`transaction` block."""
-        with self._write_lock:
-            yield
-
-    def _execute_write(
-        self,
-        connection: sqlite3.Connection,
-        sql: str,
-        parameters: tuple,
-    ):
-        """Run one mutating statement (sharded: route/rewrite first)."""
-        return connection.execute(sql, parameters)
-
-    def _executemany_write(
-        self,
-        connection: sqlite3.Connection,
-        sql: str,
-        rows: list,
-    ):
-        """Run one mutating batch (sharded: route/rewrite first)."""
-        return connection.executemany(sql, rows)
+        return self.pool.acquire()
 
     # -- reliability boundary ---------------------------------------------
     #
@@ -329,16 +202,15 @@ class GamDatabase:
         Mutating statements are serialized behind the writer lock; reads
         run lock-free on the thread's own connection.
         """
-        connection = self._lease()
+        connection = self.pool.acquire()
         # Statement boundary: the wide event of the surrounding request
         # (if any) records the statement text + bound-parameter *count*;
         # bind values never leave this layer (redaction by construction).
         record_sql(sql, len(parameters))
         if _is_write_statement(sql):
-            with self._write_guard(sql):
+            with self._write_lock:
                 cursor = self._run(
-                    sql,
-                    lambda: self._execute_write(connection, sql, parameters),
+                    sql, lambda: connection.execute(sql, parameters)
                 )
                 self.bump_generation()
                 return cursor
@@ -351,7 +223,7 @@ class GamDatabase:
         (the web handlers, :class:`repro.operators.sql_engine.SqlViewEngine`)
         proceed while a writer holds a transaction open.
         """
-        connection = self._lease()
+        connection = self.pool.acquire()
         record_sql(sql, len(parameters))
         return self._run(sql, lambda: connection.execute(sql, parameters))
 
@@ -386,29 +258,25 @@ class GamDatabase:
         one ``BEGIN IMMEDIATE`` block so autocommit mode does not pay one
         commit per row; inside one they simply join it.
         """
-        connection = self._lease()
+        connection = self.pool.acquire()
         # Materialize generators: a retried executemany must replay the
         # full row set, not whatever a half-consumed iterator has left.
         if not isinstance(rows, (list, tuple)):
             rows = list(rows)  # type: ignore[arg-type]
         # For batches the recorded count is the number of parameter rows.
         record_sql(sql, len(rows))
-        with self._write_guard(sql):
+        with self._write_lock:
             # Holding the writer lock, an open transaction on this
             # connection can only be this thread's own.
             if connection.in_transaction:
-                cursor = self._run(
-                    sql, lambda: self._executemany_write(connection, sql, rows)
-                )
+                cursor = self._run(sql, lambda: connection.executemany(sql, rows))
                 self.bump_generation()
                 return cursor
             self._run(
-                self._begin_sql, lambda: connection.execute(self._begin_sql)
+                "BEGIN IMMEDIATE", lambda: connection.execute("BEGIN IMMEDIATE")
             )
             try:
-                cursor = self._run(
-                    sql, lambda: self._executemany_write(connection, sql, rows)
-                )
+                cursor = self._run(sql, lambda: connection.executemany(sql, rows))
                 self._run("COMMIT", connection.commit)
             except BaseException:
                 connection.rollback()
@@ -437,7 +305,7 @@ class GamDatabase:
         :meth:`executemany`, the batch joins an open :meth:`transaction`
         or wraps itself in one ``BEGIN IMMEDIATE`` block.
         """
-        connection = self._lease()
+        connection = self.pool.acquire()
         record_sql(sql, 0)  # row count unknown until the stream drains
         iterator = iter(rows)
 
@@ -452,18 +320,17 @@ class GamDatabase:
                 # while re-running _drain would resume a half-consumed
                 # iterator and silently drop rows.
                 cursor = self._run(
-                    sql,
-                    lambda: self._executemany_write(connection, sql, chunk),
+                    sql, lambda: connection.executemany(sql, chunk)
                 )
                 changed += max(cursor.rowcount, 0)
 
-        with self._write_guard(sql):
+        with self._write_lock:
             if connection.in_transaction:
                 changed = _drain()
                 self.bump_generation()
                 return changed
             self._run(
-                self._begin_sql, lambda: connection.execute(self._begin_sql)
+                "BEGIN IMMEDIATE", lambda: connection.execute("BEGIN IMMEDIATE")
             )
             try:
                 changed = _drain()
@@ -475,9 +342,7 @@ class GamDatabase:
             return changed
 
     @contextlib.contextmanager
-    def transaction(
-        self, all_shards: bool = False
-    ) -> Iterator[sqlite3.Connection]:
+    def transaction(self) -> Iterator[sqlite3.Connection]:
         """Run a block atomically: commit on success, roll back on error.
 
         Holds the writer lock for the duration, so concurrent writers are
@@ -486,16 +351,9 @@ class GamDatabase:
         savepoint and rolls back only its own work on error — it neither
         commits the outer scope early nor discards the outer scope's
         pending statements.
-
-        ``all_shards`` is meaningful only on the sharded engine, where a
-        scoped transaction normally locks just the shards of the active
-        :meth:`write_scope`: passing True locks every shard up front, for
-        blocks whose writes cannot be attributed to the scoped sources
-        alone (e.g. ``delete_source`` sweeping dangling cross-shard
-        edges).  The monolithic engine has one lock either way.
         """
-        connection = self._lease()
-        with self._txn_guard(all_shards):
+        connection = self.pool.acquire()
+        with self._write_lock:
             if connection.in_transaction:
                 self._savepoint_serial += 1
                 name = f"gam_sp_{self._savepoint_serial}"
@@ -518,8 +376,8 @@ class GamDatabase:
                 self._scope_local.txn_untagged = False
                 self._scope_local.txn_wrote = False
                 self._run(
-                    self._begin_sql,
-                    lambda: connection.execute(self._begin_sql),
+                    "BEGIN IMMEDIATE",
+                    lambda: connection.execute("BEGIN IMMEDIATE"),
                 )
                 try:
                     yield connection
@@ -549,7 +407,7 @@ class GamDatabase:
 
     def commit(self) -> None:
         """Commit this thread's current transaction (no-op outside one)."""
-        self._lease().commit()
+        self.pool.acquire().commit()
         self.bump_generation()
 
     # -- data generation (cache invalidation protocol) --------------------
@@ -572,20 +430,11 @@ class GamDatabase:
         frames = getattr(self._scope_local, "frames", None)
         if frames is None:
             frames = self._scope_local.frames = []
-        # Frames keep argument order: the sharded engine routes inserts to
-        # the shard of the innermost frame's *first* source (callers pass
-        # the owning source first — e.g. a mapping's source1), which a
-        # frozenset would erase.  Generation tagging still unions them.
         frames.append(tuple(source_names))
         try:
             yield
         finally:
             frames.pop()
-
-    def _scope_frames(self) -> list[tuple[str, ...]]:
-        """The thread's active scope frames, outermost first."""
-        frames = getattr(self._scope_local, "frames", None)
-        return list(frames) if frames else []
 
     def _active_scope(self) -> frozenset[str] | None:
         """Union of the thread's scope frames, or None when unscoped."""
@@ -688,7 +537,7 @@ class GamDatabase:
         attributed internally (see ``docs/performance.md`` for the
         multi-process caveat).
         """
-        connection = self._lease()
+        connection = self.pool.acquire()
         row = connection.execute("PRAGMA data_version").fetchone()
         seen = int(row[0])
         meta = self.pool.meta(connection)
@@ -710,12 +559,11 @@ class GamDatabase:
         Join order over the generic OBJECT_REL table is chosen by the
         optimizer from these statistics; call after bulk imports so
         compiled view queries (``repro.operators.sql_engine``) pick
-        index-driven plans.  On the sharded engine a bare ``ANALYZE``
-        covers every attached shard, so one call suffices there too.
+        index-driven plans.
         """
-        connection = self._lease()
-        with self._write_guard("ANALYZE"):
-            self._execute_write(connection, "ANALYZE", ())
+        connection = self.pool.acquire()
+        with self._write_lock:
+            connection.execute("ANALYZE")
 
     def has_planner_statistics(self) -> bool:
         """True when ``ANALYZE`` has been run on this database."""
@@ -752,43 +600,16 @@ class GamDatabase:
             result[table] = int(row[0])
         return result
 
-    def table_watermarks(self, spec: dict[str, str]) -> dict[str, object]:
+    def table_watermarks(self, spec: dict[str, str]) -> dict[str, int]:
         """High-watermarks for delta refresh (``repro.derived.refresh``).
 
-        ``spec`` maps table name to its id column.  The monolithic engine
-        returns one scalar per table — the max id, monotone because rowids
-        grow within the single file.  The sharded engine overrides this
-        with a per-slot dict per table: each shard allocates ids from its
-        own stride, so a single global max would sit above another shard's
-        fresh rows and deltas there would be silently skipped.
+        ``spec`` maps table name to its id column; the result maps each
+        table to its current max id (0 when empty).
         """
-        marks: dict[str, object] = {}
+        marks: dict[str, int] = {}
         for table, id_column in spec.items():
             row = self.execute_read(
                 f"SELECT coalesce(max({id_column}), 0) FROM {table}"
             ).fetchone()
             marks[table] = int(row[0])
         return marks
-
-    def storage_info(self) -> dict[str, object]:
-        """Storage-layout description for ``/health`` and ``shard status``."""
-        return {
-            "layout": gam_schema.LAYOUT_MONOLITHIC,
-            "path": self.path,
-            "shards": None,
-        }
-
-    def shard_placement(
-        self, names: Iterable[str]
-    ) -> dict[str, int] | None:
-        """Shard slot per source name, or None on the monolithic engine."""
-        return None
-
-    def ensure_placement(self, names: Iterable[str]) -> None:
-        """Assign storage placement for sources ahead of a bulk write.
-
-        No-op on the monolithic engine.  The sharded engine creates (and
-        persists) shard assignments, which cannot happen inside an open
-        transaction — callers that write many sources in one unscoped
-        transaction (``repro.gam.dump.load_database``) call this first.
-        """

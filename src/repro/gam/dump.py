@@ -107,20 +107,6 @@ def load_database(repository: GamRepository, path: str | Path) -> int:
     """
     path = Path(path)
     count = 0
-    db = repository.db
-    if db.sharded:
-        # Shard assignment persists through its own coordinator commit,
-        # which is illegal inside the load's transaction — pre-scan the
-        # dump's source records and place them up front.
-        with path.open("r", encoding="utf-8") as handle:
-            names = [
-                record["name"]
-                for record in (
-                    json.loads(line) for line in handle if line.strip()
-                )
-                if record.get("kind") == "source"
-            ]
-        db.ensure_placement(names)
     with repository.db.transaction():
         with path.open("r", encoding="utf-8") as handle:
             header_seen = False

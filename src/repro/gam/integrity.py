@@ -116,12 +116,6 @@ def check(db: GamDatabase, max_violations: int = 100) -> IntegrityReport:
 
     # 4. Dangling foreign keys (defence in depth: FK enforcement is a
     #    connection pragma and may have been off during a bulk load).
-    #    On the sharded engine these checks carry the whole referential
-    #    burden: SQLite cannot enforce a foreign key across attached
-    #    databases, so a cross-shard edge (an ``object_rel`` in source A's
-    #    shard pointing at source B's objects, or any row referencing the
-    #    coordinator's ``source`` table) is declared without REFERENCES
-    #    and verified here instead.
     dangling_checks = (
         (
             "object-source-fk",

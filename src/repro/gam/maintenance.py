@@ -55,10 +55,8 @@ def delete_source(
     db = repository.db
     # Scoped to the deleted source: cache entries that read any mapping
     # touching it recorded it as a dependency and invalidate; entries for
-    # unrelated source pairs stay warm.  all_shards: relationships that
-    # merely *point at* this source live in other sources' shards, so the
-    # sweep cannot be attributed to this source's shard alone.
-    with db.write_scope(src.name), db.transaction(all_shards=True):
+    # unrelated source pairs stay warm.
+    with db.write_scope(src.name), db.transaction():
         rel_rows = db.execute(
             "SELECT src_rel_id FROM source_rel"
             " WHERE source1_id = ? OR source2_id = ?",

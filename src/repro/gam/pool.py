@@ -149,14 +149,11 @@ class ConnectionPool:
         """Pool-managed scratch metadata attached to ``connection``.
 
         ``sqlite3.Connection`` has no ``__dict__``, so layers above the
-        pool (generation tracking, shard attach state) cannot hang state
-        off the connection object directly — and a bare ``id()``-keyed
-        dict of their own would go stale when a discarded connection's id
-        is reused by a new one.  The pool owns the lifetime, so it clears
-        the entry whenever a connection is discarded or the pool closes.
-        Connections not opened by this pool (e.g. a shard image-flip's
-        private connection) may use the facility too; their entries are
-        dropped by the caller via :meth:`forget`.
+        pool (generation tracking) cannot hang state off the connection
+        object directly — and a bare ``id()``-keyed dict of their own
+        would go stale when a discarded connection's id is reused by a
+        new one.  The pool owns the lifetime, so it clears the entry
+        whenever a connection is discarded or the pool closes.
         """
         key = id(connection)
         with self._lock:
@@ -164,11 +161,6 @@ class ConnectionPool:
             if entry is None:
                 entry = self._meta[key] = {}
             return entry
-
-    def forget(self, connection: sqlite3.Connection) -> None:
-        """Drop the metadata entry for a connection closed by the caller."""
-        with self._lock:
-            self._meta.pop(id(connection), None)
 
     def acquire(self) -> sqlite3.Connection:
         """The calling thread's connection (leased on first use).

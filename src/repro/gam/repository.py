@@ -222,17 +222,6 @@ class GamRepository:
         rows = self.db.execute("SELECT * FROM source ORDER BY source_id").fetchall()
         return [self._source_from_row(row) for row in rows]
 
-    def placement_report(self) -> dict[str, object]:
-        """Storage layout plus each source's shard placement.
-
-        On the monolithic engine ``placement`` is None; on the sharded
-        engine it maps every registered source name to its shard slot
-        (used by ``repro shard status`` and the web ``explain`` payload).
-        """
-        info = self.db.storage_info()
-        names = [source.name for source in self.list_sources()]
-        return {**info, "placement": self.db.shard_placement(names)}
-
     @staticmethod
     def _source_from_row(row: object) -> Source:
         return Source(

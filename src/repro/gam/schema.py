@@ -32,19 +32,6 @@ SCHEMA_VERSION = 1
 
 GAM_TABLES = ("source", "object", "source_rel", "object_rel")
 
-#: Tables partitioned by source under the sharded layout
-#: (``repro.gam.shards``).  ``source`` and ``meta`` always stay in the
-#: coordinator database: they are tiny, touched by every shard, and the
-#: shard catalog itself lives beside them.
-SHARD_TABLES = ("object", "source_rel", "object_rel")
-
-#: Id stride separating each shard slot's AUTOINCREMENT range.  Slot ``k``
-#: allocates ids starting at ``(k + 1) * ID_STRIDE``, so ids stay globally
-#: unique across shards *and* disjoint from any pre-migration monolithic
-#: id (which is always far below one stride).  Eight slots of 2^40 ids
-#: each sit comfortably inside SQLite's 63-bit rowid space.
-ID_STRIDE = 1 << 40
-
 _DDL = """
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
@@ -98,118 +85,30 @@ CREATE INDEX IF NOT EXISTS idx_object_rel_obj2
 """
 
 
-#: DDL for one shard file (sharded layout).  Differences from the
-#: coordinator schema are deliberate:
-#:
-#: * ``INTEGER PRIMARY KEY AUTOINCREMENT`` + a seeded ``sqlite_sequence``
-#:   row give each slot its own disjoint id range (see :data:`ID_STRIDE`),
-#:   so ids drawn concurrently by parallel shard writers never collide;
-#: * no ``REFERENCES`` clauses: SQLite cannot enforce a foreign key into
-#:   a different attached database (``object.source_id`` points at the
-#:   coordinator's ``source`` table), so referential integrity moves to
-#:   the application level (``repro.gam.integrity``).
-_SHARD_DDL = """
-CREATE TABLE IF NOT EXISTS object (
-    object_id INTEGER PRIMARY KEY AUTOINCREMENT,
-    source_id INTEGER NOT NULL,
-    accession TEXT NOT NULL,
-    text      TEXT,
-    number    REAL
-);
-CREATE UNIQUE INDEX IF NOT EXISTS idx_object_source_accession
-    ON object (source_id, accession);
+def refuse_retired_layout(connection: sqlite3.Connection, path: str) -> None:
+    """Raise :class:`GamSchemaError` for a file of the retired sharded layout.
 
-CREATE TABLE IF NOT EXISTS source_rel (
-    src_rel_id INTEGER PRIMARY KEY AUTOINCREMENT,
-    source1_id INTEGER NOT NULL,
-    source2_id INTEGER NOT NULL,
-    type       TEXT NOT NULL CHECK (type IN
-        ('Fact', 'Similarity', 'Contains', 'Is-a', 'Composed', 'Subsumed'))
-);
-CREATE UNIQUE INDEX IF NOT EXISTS idx_source_rel_endpoints
-    ON source_rel (source1_id, source2_id, type);
-CREATE INDEX IF NOT EXISTS idx_source_rel_source2
-    ON source_rel (source2_id);
-
-CREATE TABLE IF NOT EXISTS object_rel (
-    obj_rel_id INTEGER PRIMARY KEY AUTOINCREMENT,
-    src_rel_id INTEGER NOT NULL,
-    object1_id INTEGER NOT NULL,
-    object2_id INTEGER NOT NULL,
-    evidence   REAL NOT NULL DEFAULT 1.0
-);
-CREATE UNIQUE INDEX IF NOT EXISTS idx_object_rel_unique
-    ON object_rel (src_rel_id, object1_id, object2_id);
-CREATE INDEX IF NOT EXISTS idx_object_rel_obj2
-    ON object_rel (src_rel_id, object2_id, object1_id);
-"""
-
-#: Catalog tables recorded in the coordinator database (sharded layout).
-_CATALOG_DDL = """
-CREATE TABLE IF NOT EXISTS shard_catalog (
-    slot  INTEGER PRIMARY KEY,
-    file  TEXT NOT NULL,
-    image INTEGER NOT NULL DEFAULT 0
-);
-CREATE TABLE IF NOT EXISTS shard_source (
-    name TEXT PRIMARY KEY,
-    slot INTEGER NOT NULL
-);
-"""
-
-#: Values of the ``layout`` meta key.
-LAYOUT_MONOLITHIC = "monolithic"
-LAYOUT_SHARDED = "sharded"
-
-
-def create_shard_schema(connection: sqlite3.Connection, slot: int) -> None:
-    """Create the partitioned tables in one shard file.
-
-    Seeds ``sqlite_sequence`` so slot ``k`` allocates ids from
-    ``(k + 1) * ID_STRIDE`` upward; explicit-id inserts below the seed
-    (rows copied by ``migrate-shards``) never move the sequence backward,
-    so migrated and freshly-allocated ids stay disjoint.
+    That engine kept ``object``, ``source_rel`` and ``object_rel`` in
+    per-source side files and marked its main file with ``layout =
+    sharded`` in ``meta``.  The main file holds the full schema with
+    those tables empty, so opening it would silently show an empty
+    database.  Its data survives only through a dump.
     """
-    connection.executescript(_SHARD_DDL)
-    base = (int(slot) + 1) * ID_STRIDE
-    for table in SHARD_TABLES:
-        row = connection.execute(
-            "SELECT seq FROM sqlite_sequence WHERE name = ?", (table,)
-        ).fetchone()
-        if row is None:
-            connection.execute(
-                "INSERT INTO sqlite_sequence (name, seq) VALUES (?, ?)",
-                (table, base),
-            )
-        elif int(row[0]) < base:
-            connection.execute(
-                "UPDATE sqlite_sequence SET seq = ? WHERE name = ?",
-                (base, table),
-            )
-    connection.commit()
-
-
-def create_catalog_schema(connection: sqlite3.Connection) -> None:
-    """Create the shard-catalog tables in the coordinator database."""
-    connection.executescript(_CATALOG_DDL)
-    connection.commit()
-
-
-def read_layout(connection: sqlite3.Connection) -> str:
-    """The storage layout recorded in ``meta`` (monolithic when absent)."""
+    has_meta = connection.execute(
+        "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'meta'"
+    ).fetchone()
+    if has_meta is None:
+        return
     row = connection.execute(
         "SELECT value FROM meta WHERE key = 'layout'"
     ).fetchone()
-    return str(row[0]) if row is not None else LAYOUT_MONOLITHIC
-
-
-def write_layout(connection: sqlite3.Connection, layout: str) -> None:
-    """Record the storage layout in ``meta`` (no implicit commit)."""
-    connection.execute(
-        "INSERT INTO meta (key, value) VALUES ('layout', ?)"
-        " ON CONFLICT (key) DO UPDATE SET value = excluded.value",
-        (layout,),
-    )
+    if row is not None and row[0] == "sharded":
+        raise GamSchemaError(
+            f"{path} uses the source-sharded storage layout, which is no"
+            " longer supported: run 'repro --db <file> dump <dump>' from a"
+            " release that still has the sharded engine, then"
+            " 'repro --db <new file> load <dump>' into a new database"
+        )
 
 
 def _upgrade_indices(connection: sqlite3.Connection) -> None:

@@ -21,7 +21,6 @@ describes for re-importing LocusLink after GO is present.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import datetime
 from collections import defaultdict
@@ -90,33 +89,15 @@ class GamImporter:
             raise ImportError_("dataset has no source name")
         repo = self.repository
         tracer = get_tracer()
-        structure = self._structure_for(dataset, structure)
-        imported_at = self._clock()
-        # Sharded engine: a transaction scoped to its sources locks only
-        # their shards — which is the whole point of sharding — but then
-        # no statement inside it may touch the coordinator's ``source``
-        # table.  Pre-register every source this import can mention (the
-        # parsed source, annotation targets, partition sources) *outside*
-        # the transaction with the exact values the inner calls will pass,
-        # so those calls become pure no-op reads.  The monolithic engine
-        # keeps the original single-transaction shape: source registration
-        # stays atomic with the rows (the chaos tests pin that down).
-        if repo.db.sharded:
-            scope_names = self._preregister_sources(
-                dataset, content, structure, imported_at
-            )
-            txn_scope = repo.db.write_scope(*scope_names)
-        else:
-            txn_scope = contextlib.nullcontext()
         with tracer.span(
             "pipeline.import", source=dataset.source_name, rows=len(dataset)
-        ) as import_span, txn_scope, repo.db.transaction(), repo.bulk_import():
+        ) as import_span, repo.db.transaction(), repo.bulk_import():
             source = repo.add_source(
                 dataset.source_name,
                 content=content,
-                structure=structure,
+                structure=self._structure_for(dataset, structure),
                 release=dataset.release,
-                imported_at=imported_at,
+                imported_at=self._clock(),
             )
             with tracer.span("pipeline.import.entities") as span:
                 new_objects = self._import_entities(source, dataset)
@@ -153,51 +134,6 @@ class GamImporter:
         )
 
     # -- pieces ------------------------------------------------------------
-
-    def _preregister_sources(
-        self,
-        dataset: EavDataset,
-        content: SourceContent | str,
-        structure: SourceStructure,
-        imported_at: str,
-    ) -> list[str]:
-        """Register every source this import touches; return their names.
-
-        The parsed source comes first: the sharded engine routes an
-        insert to the shard of the innermost scope's first name, and the
-        import's own rows belong to the parsed source.  Arguments mirror
-        the in-transaction ``add_source`` calls exactly, so re-running
-        them inside the transaction updates nothing.
-        """
-        repo = self.repository
-        source = repo.add_source(
-            dataset.source_name,
-            content=content,
-            structure=structure,
-            release=dataset.release,
-            imported_at=imported_at,
-        )
-        names = [dataset.source_name]
-        for target in dataset.annotation_targets():
-            if target == CONTAINS_TARGET:
-                continue
-            info = target_info(target)
-            if info.name.lower() == dataset.source_name.lower():
-                continue
-            repo.add_source(
-                info.name, content=info.content, structure=info.structure
-            )
-            if info.name not in names:
-                names.append(info.name)
-        for partition_name in sorted(dataset.partition_entities()):
-            repo.add_source(
-                partition_name,
-                content=source.content,
-                structure=SourceStructure.NETWORK,
-            )
-            if partition_name not in names:
-                names.append(partition_name)
-        return names
 
     def _structure_for(
         self, dataset: EavDataset, declared: SourceStructure | str

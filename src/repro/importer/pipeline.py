@@ -245,24 +245,11 @@ class IntegrationPipeline:
         which the GAM duplicate elimination makes a no-op.  The row-id
         watermarks snapshotted *before* the import delimit its delta for
         incremental view maintenance (:mod:`repro.derived.refresh`).
-
-        On the sharded engine, *re*-importing a known source runs inside
-        an :meth:`~repro.gam.shards.ShardedGamDatabase.image_flip`: the
-        import writes a staged copy of the source's shard while readers
-        keep the live image, and the catalog flips atomically on commit
-        (zero-downtime re-import, ``docs/storage.md``).
         """
         watermarks = journal.table_watermarks()
-        db = self.repository.db
-        if db.sharded and self.repository.find_source(entry.source) is not None:
-            with db.image_flip(entry.source):
-                report = self.integrate_file(
-                    file_path, source_name=entry.source, release=entry.release
-                )
-        else:
-            report = self.integrate_file(
-                file_path, source_name=entry.source, release=entry.release
-            )
+        report = self.integrate_file(
+            file_path, source_name=entry.source, release=entry.release
+        )
         journal.record(
             entry.source,
             entry.file,

@@ -92,17 +92,12 @@ class ImportJournal:
             and record.get("release") == release
         )
 
-    def table_watermarks(self) -> dict[str, object]:
+    def table_watermarks(self) -> dict[str, int]:
         """Current max row-id per delta-relevant table (0 when empty).
 
         Taken *before* an import, rows with ids above these marks are
         exactly the import's delta — the seed set for
-        :mod:`repro.derived.refresh`.  Delegates to the engine: the
-        monolithic database returns one scalar per table; the sharded
-        one a per-slot dict per table, because each shard allocates ids
-        from its own stride and one global max would hide another
-        shard's fresh rows (:meth:`repro.gam.database.GamDatabase
-        .table_watermarks`).
+        :mod:`repro.derived.refresh`.
         """
         return self.db.table_watermarks(WATERMARK_TABLES)
 
@@ -112,7 +107,7 @@ class ImportJournal:
         file: str,
         fingerprint: str,
         release: str | None = None,
-        watermarks: dict[str, object] | None = None,
+        watermarks: dict[str, int] | None = None,
     ) -> None:
         """Checkpoint one source as fully imported.
 
@@ -131,15 +126,8 @@ class ImportJournal:
                 (self._key(source, file), payload),
             )
 
-    def watermarks(self, source: str, file: str) -> dict[str, object] | None:
-        """The pre-import watermarks of one checkpoint, or None.
-
-        Values are scalars (monolithic) or per-slot dicts keyed by
-        stringified slot id (sharded); both shapes round-trip JSON
-        unchanged, so a checkpoint survives a ``migrate-shards`` in
-        between — a scalar mark stays correct afterwards because every
-        freshly allocated shard id sits above the old monolithic range.
-        """
+    def watermarks(self, source: str, file: str) -> dict[str, int] | None:
+        """The pre-import watermarks of one checkpoint, or None."""
         row = self.db.execute_read(
             "SELECT value FROM meta WHERE key = ?", (self._key(source, file),)
         ).fetchone()
@@ -152,14 +140,7 @@ class ImportJournal:
         marks = record.get("watermarks")
         if not isinstance(marks, dict):
             return None
-        return {
-            str(table): (
-                {str(slot): int(mark) for slot, mark in value.items()}
-                if isinstance(value, dict)
-                else int(value)
-            )
-            for table, value in marks.items()
-        }
+        return {str(table): int(value) for table, value in marks.items()}
 
     def entries(self) -> dict[str, dict]:
         """All checkpoints, keyed ``source/file`` (inspection, tests)."""

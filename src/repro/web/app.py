@@ -580,7 +580,6 @@ def _route(
             return 200, {
                 "status": "ok",
                 "sources": len(genmapper.sources()),
-                "storage": genmapper.db.storage_info(),
                 "request_id": environ.get("repro.request_id"),
             }
         return _route_get(genmapper, segments, query)
@@ -789,13 +788,6 @@ def _plan_payload(genmapper: GenMapper, spec: QuerySpec) -> dict:
         ],
     }
     payload["cache"] = _explain_cache(genmapper, spec)
-    names = {plan.source}
-    for target in plan.targets:
-        names.add(target.target)
-        names.update(target.path)
-    placement = genmapper.db.shard_placement(sorted(names))
-    if placement is not None:
-        payload["shards"] = placement
     return payload
 
 

@@ -63,13 +63,26 @@ def genmapper():
         yield gm
 
 
+def _paper_genmapper(**options):
+    gm = GenMapper(**options)
+    gm.integrate_text(LOCUS_353_RECORD, "LocusLink")
+    gm.integrate_text(GO_MINI_OBO, "GO")
+    gm.integrate_text(UNIGENE_MINI, "Unigene")
+    return gm
+
+
 @pytest.fixture()
 def paper_genmapper():
     """A GenMapper loaded with the paper's running example data."""
-    with GenMapper() as gm:
-        gm.integrate_text(LOCUS_353_RECORD, "LocusLink")
-        gm.integrate_text(GO_MINI_OBO, "GO")
-        gm.integrate_text(UNIGENE_MINI, "Unigene")
+    with _paper_genmapper() as gm:
+        yield gm
+
+
+@pytest.fixture()
+def cached_paper_genmapper():
+    """``paper_genmapper`` with the mapping cache on even under
+    ``REPRO_CACHE=off``: serving a stale mapping needs a cached one."""
+    with _paper_genmapper(enable_cache=True) as gm:
         yield gm
 
 

@@ -71,24 +71,41 @@ class TestIntegrityCheck:
         report = check(db)
         assert any(v.rule == "evidence-range" for v in report.violations)
 
-    def test_detects_dangling_object_source(self, db, repo):
+    @pytest.mark.parametrize(
+        ("dangling_row", "rule"),
+        [
+            pytest.param(
+                "INSERT INTO object (source_id, accession) VALUES (999, 'x')",
+                "object-source-fk",
+                id="object-source-fk",
+            ),
+            pytest.param(
+                "INSERT INTO source_rel (source1_id, source2_id, type)"
+                " VALUES (1, 999, 'Fact')",
+                "source-rel-source-fk",
+                id="source-rel-source-fk",
+            ),
+            pytest.param(
+                "INSERT INTO object_rel (src_rel_id, object1_id, object2_id)"
+                " VALUES (999, 1, 3)",
+                "object-rel-source-rel-fk",
+                id="object-rel-source-rel-fk",
+            ),
+            pytest.param(
+                "INSERT INTO object_rel (src_rel_id, object1_id, object2_id)"
+                " VALUES (1, 998, 999)",
+                "object-rel-object-fk",
+                id="object-rel-object-fk",
+            ),
+        ],
+    )
+    def test_detects_dangling_row(self, db, repo, dangling_row, rule):
         _valid_world(repo)
         db.commit()  # pragma changes need to happen outside a transaction
         db.execute("PRAGMA foreign_keys = OFF")
-        db.execute("INSERT INTO object (source_id, accession) VALUES (999, 'x')")
+        db.execute(dangling_row)
         report = check(db)
-        assert any(v.rule == "object-source-fk" for v in report.violations)
-
-    def test_detects_dangling_association_object(self, db, repo):
-        _valid_world(repo)
-        db.commit()  # pragma changes need to happen outside a transaction
-        db.execute("PRAGMA foreign_keys = OFF")
-        db.execute(
-            "INSERT INTO object_rel (src_rel_id, object1_id, object2_id)"
-            " VALUES (1, 998, 999)"
-        )
-        report = check(db)
-        assert any(v.rule == "object-rel-object-fk" for v in report.violations)
+        assert rule in {v.rule for v in report.violations}
 
     def test_violation_rendering_mentions_rule(self, db, repo):
         _valid_world(repo)

@@ -646,8 +646,8 @@ def break_storage(gm: GenMapper) -> None:
 
 
 class TestDegradedServing:
-    def test_stale_mapping_served_when_storage_fails(self, paper_genmapper):
-        gm = paper_genmapper
+    def test_stale_mapping_served_when_storage_fails(self, cached_paper_genmapper):
+        gm = cached_paper_genmapper
         fresh = gm.map("LocusLink", "GO")
         # A write moves the generation: the cached entry is now stale.
         gm.db.execute(
@@ -660,8 +660,8 @@ class TestDegradedServing:
         assert state["degraded"] is True
         assert list(stale) == list(fresh)
 
-    def test_breaker_opens_and_short_circuits_to_stale(self, paper_genmapper):
-        gm = paper_genmapper
+    def test_breaker_opens_and_short_circuits_to_stale(self, cached_paper_genmapper):
+        gm = cached_paper_genmapper
         gm.breaker = CircuitBreaker(
             failure_threshold=1, recovery_time=60.0, registry=MetricsRegistry()
         )
@@ -875,8 +875,8 @@ class TestWebResilience:
         assert "circuit" in payload["error"]
         assert int(headers["Retry-After"]) >= 1
 
-    def test_degraded_response_flagged(self, paper_genmapper):
-        gm = paper_genmapper
+    def test_degraded_response_flagged(self, cached_paper_genmapper):
+        gm = cached_paper_genmapper
         app = create_app(gm)
         status, fresh, __ = call_with_headers(
             app, "GET", "/map", query="source=LocusLink&target=GO"
