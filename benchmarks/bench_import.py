@@ -24,11 +24,12 @@ import time
 from repro.eav.model import CONTAINS_TARGET, IS_A_TARGET, NAME_TARGET, EavRow
 from repro.eav.store import EavDataset
 from repro.gam.database import GamDatabase
-from repro.gam.enums import RelType
-from repro.gam.errors import GamIntegrityError
+from repro.gam.enums import RelType, SourceContent, SourceStructure
+from repro.gam.errors import GamIntegrityError, ImportError_
 from repro.gam.records import Source
 from repro.gam.repository import GamRepository
 from repro.importer.importer import GamImporter, ImportReport
+from repro.obs import get_tracer
 
 #: Minimum end-to-end speedup the indexed ingest path must deliver over
 #: the replicated pre-PR path (observed: well above this floor; the
@@ -165,7 +166,72 @@ class LegacyRepository(GamRepository):
 
 
 class LegacyImporter(GamImporter):
-    """``GamImporter`` with the seed's per-lookup row scans restored."""
+    """``GamImporter`` with the seed's per-lookup row scans restored.
+
+    It carries its own ``import_dataset``, the pre-plan/apply body, so
+    the ``_import_*`` overrides below are what it runs.
+    """
+
+    def import_dataset(
+        self,
+        dataset: EavDataset,
+        content: SourceContent | str = SourceContent.OTHER,
+        structure: SourceStructure | str = SourceStructure.FLAT,
+    ) -> ImportReport:
+        if not dataset.source_name:
+            raise ImportError_("dataset has no source name")
+        repo = self.repository
+        tracer = get_tracer()
+        with tracer.span(
+            "pipeline.import", source=dataset.source_name, rows=len(dataset)
+        ) as import_span, repo.db.transaction(), repo.bulk_import():
+            source = repo.add_source(
+                dataset.source_name,
+                content=content,
+                structure=self._structure_for(dataset, structure),
+                release=dataset.release,
+                imported_at=self._clock(),
+            )
+            with tracer.span("pipeline.import.entities") as span:
+                new_objects = self._import_entities(source, dataset)
+                span.tag(inserted=new_objects)
+            new_associations: dict[str, int] = {}
+            new_target_objects: dict[str, int] = {}
+            skipped = 0
+            with tracer.span("pipeline.import.structure"):
+                skipped += self._import_structure(source, dataset, new_associations)
+            for target in dataset.annotation_targets():
+                if target == CONTAINS_TARGET:
+                    continue
+                with tracer.span("pipeline.import.target", target=target) as span:
+                    inserted_objs, inserted_assocs = self._import_target(
+                        source, dataset, target
+                    )
+                    span.tag(objects=inserted_objs, associations=inserted_assocs)
+                new_target_objects[target] = inserted_objs
+                new_associations[target] = inserted_assocs
+            import_span.tag(
+                new_objects=new_objects,
+                new_associations=sum(new_associations.values()),
+                skipped=skipped,
+            )
+        return ImportReport(
+            source=source,
+            new_objects=new_objects,
+            new_associations=new_associations,
+            new_target_objects=new_target_objects,
+            skipped_rows=skipped,
+        )
+
+    @staticmethod
+    def _structure_for(
+        dataset: EavDataset, declared: SourceStructure | str
+    ) -> SourceStructure:
+        declared = SourceStructure.parse(declared)
+        targets = set(dataset.targets())
+        if IS_A_TARGET in targets or CONTAINS_TARGET in targets:
+            return SourceStructure.NETWORK
+        return declared
 
     def _import_entities(self, source: Source, dataset: EavDataset) -> int:
         from repro.eav.model import NUMBER_TARGET
@@ -224,8 +290,6 @@ class LegacyImporter(GamImporter):
 
     def _import_structure(self, source, dataset, new_associations):
         from collections import defaultdict
-
-        from repro.gam.enums import SourceStructure
 
         repo = self.repository
         skipped = 0

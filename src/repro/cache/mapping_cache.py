@@ -39,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import os
 from collections.abc import Callable, Sequence
+from typing import NamedTuple
 
 from repro.cache.deps import capture_dependencies, record_dependency
 from repro.cache.lru import GenerationalLru
@@ -117,6 +118,17 @@ def spec_digest(*parts: object) -> str:
     return hashlib.sha1(payload.encode("utf-8")).hexdigest()[:16]
 
 
+class _Loaded(NamedTuple):
+    """A cached value and the source names its loader read.
+
+    Stored as the LRU entry, so the dependency record lives and dies
+    with its entry however many distinct keys pass through the cache.
+    """
+
+    value: object
+    deps: frozenset[str]
+
+
 class MappingCache:
     """Generation-aware read-through cache bound to one GAM database.
 
@@ -140,15 +152,14 @@ class MappingCache:
     ) -> None:
         self.db = db
         self._lru = GenerationalLru(
-            max_entries=max_entries, max_bytes=max_bytes, size_of=estimate_size
+            max_entries=max_entries,
+            max_bytes=max_bytes,
+            size_of=lambda loaded: estimate_size(loaded.value),
         )
         self._registry = registry
         # Metrics are deltas against the last published LRU counters so
         # shared registries (the process default) stay monotonic.
         self._published = {"hit": 0, "miss": 0, "eviction": 0, "invalidation": 0}
-        # Source names each key's loader read, captured on load (kept
-        # across eviction so a reloaded key validates scoped immediately).
-        self._deps: dict[tuple, frozenset[str]] = {}
         self._scoped_invalidations = 0
 
     @property
@@ -188,16 +199,17 @@ class MappingCache:
         """Like :meth:`get_or_load` but also reports ``was_hit``.
 
         Freshness is scoped when the key's dependency sources are known
-        (from a previous load): the entry must be at least as new as the
-        max generation of *those sources only*, so writes tagged to other
-        sources leave it warm.  A first load (dependencies unknown)
-        validates against the global generation, and the loader runs
-        inside a capture frame so its dependencies are known from then
-        on.  Loads with an empty capture (a loader reading nothing
-        attributable) stay on global validation — always safe.
+        (from the resident entry's load): the entry must be at least as
+        new as the max generation of *those sources only*, so writes
+        tagged to other sources leave it warm.  A first load (dependencies
+        unknown, also after an eviction) validates against the global
+        generation, and the loader runs inside a capture frame so its
+        dependencies are known from then on.  Loads with an empty capture
+        (a loader reading nothing attributable) stay on global validation
+        — always safe.
         """
         generation = self.db.data_generation()
-        deps = self._deps.get(key)
+        deps = self._resident_deps(key)
         if deps:
             required = self.db.generation_of(deps)
             stamp = self._lru.peek_generation(key)
@@ -213,23 +225,25 @@ class MappingCache:
         else:
             required = generation
 
-        def scoped_loader() -> object:
+        def scoped_loader() -> _Loaded:
             with capture_dependencies() as captured:
                 value = loader()
-            self._deps[key] = frozenset(captured)
-            return value
+            return _Loaded(value, frozenset(captured))
 
-        value, was_hit = self._lru.get_or_load(key, required, scoped_loader)
-        if was_hit:
+        loaded, was_hit = self._lru.get_or_load(key, required, scoped_loader)
+        if was_hit and loaded.deps:
             # Propagate this entry's dependencies to any outer capture
             # (a cached view composing over a cached mapping must inherit
             # the mapping's sources even when the inner lookup hits).
-            stored = self._deps.get(key)
-            if stored:
-                record_dependency(*stored)
+            record_dependency(*loaded.deps)
         incr_event("cache_hits" if was_hit else "cache_misses")
         self._publish_metrics()
-        return value, was_hit
+        return loaded.value, was_hit
+
+    def _resident_deps(self, key: tuple) -> frozenset[str]:
+        """The resident entry's dependency sources (empty when none)."""
+        loaded, found = self._lru.stale_value(key)
+        return loaded.deps if found else frozenset()
 
     def get_stale(self, key: tuple) -> tuple[object | None, bool]:
         """``(value, found)`` ignoring freshness — degraded-mode serving.
@@ -240,30 +254,30 @@ class MappingCache:
         so this read has something to return.  Counted under
         ``cache.stale_serves``.
         """
-        value, found = self._lru.stale_value(key)
-        if found:
-            self.registry.counter("cache.stale_serves").inc()
-            incr_event("cache_stale_serves")
-        return value, found
+        loaded, found = self._lru.stale_value(key)
+        if not found:
+            return None, False
+        self.registry.counter("cache.stale_serves").inc()
+        incr_event("cache_stale_serves")
+        return loaded.value, True
 
     def is_cached(self, key: tuple) -> bool:
         """True when ``key`` would hit right now (explain support; does
         not touch hit/miss counters or recency)."""
         generation = self.db.data_generation()
-        deps = self._deps.get(key)
+        deps = self._resident_deps(key)
         required = self.db.generation_of(deps) if deps else generation
         return self._lru.peek(key, required)
 
     def dependencies(self, key: tuple) -> tuple[str, ...]:
         """Sorted source names the key's loader last read (explain
-        support; empty when the key has never loaded)."""
-        return tuple(sorted(self._deps.get(key, ())))
+        support; empty when the key is not resident)."""
+        return tuple(sorted(self._resident_deps(key)))
 
     def invalidate_all(self) -> int:
         """Drop everything (admin/testing aid; normal invalidation is
         generation-driven and needs no manual flush)."""
         dropped = self._lru.clear()
-        self._deps.clear()
         self._publish_metrics()
         return dropped
 

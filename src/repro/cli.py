@@ -36,6 +36,13 @@ from repro.query.language import parse_query
 from repro.query.session import run_query
 
 
+def _worker_count(value: str) -> int:
+    """``--workers`` of ``repro import``: an integer >= 1."""
+    if not value.isdecimal() or int(value) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argparse command tree."""
     parser = argparse.ArgumentParser(
@@ -90,9 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--source", help="source name (chooses the parser)")
     cmd.add_argument("--release", help="release label for audit info")
     cmd.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="import up to N manifest sources concurrently"
-        " (directories only; default: REPRO_IMPORT_WORKERS or serial)",
+        "--workers", type=_worker_count, default=None, metavar="N",
+        help="parse manifest files in up to N processes while one writer"
+        " imports them in manifest order (directories only;"
+        " default: REPRO_IMPORT_WORKERS or serial)",
     )
     cmd.add_argument(
         "--resume", action="store_true",

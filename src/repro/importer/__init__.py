@@ -6,7 +6,7 @@ from repro.importer.diff import (
     diff_against_store,
     diff_datasets,
 )
-from repro.importer.importer import GamImporter, ImportReport
+from repro.importer.importer import GamImporter, ImportPlan, ImportReport, plan_import
 from repro.importer.pipeline import (
     IntegrationPipeline,
     ManifestEntry,
@@ -20,9 +20,11 @@ __all__ = [
     "TargetDiff",
     "diff_against_store",
     "diff_datasets",
+    "ImportPlan",
     "ImportReport",
     "IntegrationPipeline",
     "ManifestEntry",
+    "plan_import",
     "read_manifest",
     "write_manifest",
 ]

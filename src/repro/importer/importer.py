@@ -17,6 +17,13 @@ point of the Parse/Import split.  It:
 Re-importing a source against an already-populated database therefore only
 relates the new objects with the existing ones, exactly as the paper
 describes for re-importing LocusLink after GO is present.
+
+Import runs in two halves.  :func:`plan_import` groups a parsed dataset
+into plain-tuple rows per source, target, IS_A and CONTAINS, with no
+database access, so it can run in a parse process
+(:meth:`~repro.importer.pipeline.IntegrationPipeline.integrate_directory`
+with ``workers > 1``).  :meth:`GamImporter.apply` does every database
+write of one plan as one transaction behind the writer lock.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import datetime
 from collections import defaultdict
+from typing import NamedTuple
 
 from repro.eav.model import (
     CONTAINS_TARGET,
@@ -67,6 +75,99 @@ class ImportReport:
         )
 
 
+class ImportPlan(NamedTuple):
+    """Everything the Import step writes for one parsed source, as plain
+    tuples.
+
+    :func:`plan_import` builds it from an :class:`EavDataset` without
+    touching a database, so a parse process can build it and hand it to
+    the writer: plain tuples pickle about ten times faster than the
+    frozen :class:`~repro.eav.model.EavRow` objects they come from.
+    :meth:`GamImporter.apply` writes it.
+    """
+
+    source_name: str
+    release: str | None
+    content: SourceContent
+    structure: SourceStructure
+    #: EAV rows the plan was built from.
+    rows: int
+    #: ``(accession, text, number)`` per entity of the parsed source.
+    entities: list[tuple[str, str | None, float | None]]
+    #: ``(term, parent)`` per IS_A row.
+    is_a: list[tuple[str, str]]
+    #: ``(partition, member accessions)`` per CONTAINS partition, by name.
+    partitions: list[tuple[str, list[str]]]
+    #: ``(target, reduced evidence, objects, associations)`` per
+    #: annotation target in first-seen order; objects are ``(accession,
+    #: text, number)``, associations ``(entity, accession, evidence)``.
+    targets: list[tuple[str, bool, list[tuple], list[tuple[str, str, float]]]]
+
+
+def plan_import(
+    dataset: EavDataset,
+    content: SourceContent | str = SourceContent.OTHER,
+    structure: SourceStructure | str = SourceStructure.FLAT,
+) -> ImportPlan:
+    """Group one parsed dataset into the rows :meth:`GamImporter.apply`
+    writes.
+
+    ``content`` and ``structure`` classify the *parsed* source; a source
+    with structural rows is Network regardless of the declared default.
+    """
+    if not dataset.source_name:
+        raise ImportError_("dataset has no source name")
+    structure = SourceStructure.parse(structure)
+    if {IS_A_TARGET, CONTAINS_TARGET} & set(dataset.targets()):
+        structure = SourceStructure.NETWORK
+    # Entities, enriched with Name/Number rows.  CONTAINS rows use the
+    # partition name as their entity; the partition is a source, not an
+    # object of the parsed source.
+    texts: dict[str, str] = {}
+    numbers: dict[str, float] = {}
+    for row in dataset.rows_for_target(NAME_TARGET):
+        if row.text:
+            texts.setdefault(row.entity, row.text)
+    for row in dataset.rows_for_target(NUMBER_TARGET):
+        if row.number is not None:
+            numbers.setdefault(row.entity, row.number)
+    partition_entities = dataset.partition_entities()
+    entities = [
+        (entity, texts.get(entity), numbers.get(entity))
+        for entity in dataset.entities()
+        if entity not in partition_entities
+    ]
+    by_partition: dict[str, list[str]] = defaultdict(list)
+    for row in dataset.rows_for_target(CONTAINS_TARGET):
+        by_partition[row.entity].append(row.accession)
+    targets = []
+    for target in dataset.annotation_targets():
+        rows = dataset.rows_for_target(target)
+        objects: dict[str, tuple[str, str | None, float | None]] = {}
+        for row in rows:
+            existing = objects.get(row.accession)
+            if existing is None or (existing[1] is None and row.text):
+                objects[row.accession] = (row.accession, row.text, row.number)
+        targets.append((
+            target,
+            dataset.has_reduced_evidence(target),
+            list(objects.values()),
+            [(row.entity, row.accession, row.evidence) for row in rows],
+        ))
+    is_a = [(row.entity, row.accession) for row in dataset.rows_for_target(IS_A_TARGET)]
+    return ImportPlan(
+        source_name=dataset.source_name,
+        release=dataset.release,
+        content=SourceContent.parse(content),
+        structure=structure,
+        rows=len(dataset),
+        entities=entities,
+        is_a=is_a,
+        partitions=sorted(by_partition.items()),
+        targets=targets,
+    )
+
+
 class GamImporter:
     """Generic EAV-to-GAM importer bound to one repository."""
 
@@ -85,40 +186,81 @@ class GamImporter:
         ``content`` and ``structure`` classify the *parsed* source; target
         sources are classified via :mod:`repro.parsers.targets`.
         """
-        if not dataset.source_name:
-            raise ImportError_("dataset has no source name")
+        return self.apply(plan_import(dataset, content, structure))
+
+    def apply(self, plan: ImportPlan) -> ImportReport:
+        """Write one plan as a single transaction behind the writer lock.
+
+        Duplicate elimination happens inside ``add_objects`` and
+        ``add_associations``: the difference between offered and inserted
+        rows is the duplicate work.
+        """
         repo = self.repository
         tracer = get_tracer()
+        new_associations: dict[str, int] = {}
+        new_target_objects: dict[str, int] = {}
+        skipped = 0
         with tracer.span(
-            "pipeline.import", source=dataset.source_name, rows=len(dataset)
+            "pipeline.import", source=plan.source_name, rows=plan.rows
         ) as import_span, repo.db.transaction(), repo.bulk_import():
             source = repo.add_source(
-                dataset.source_name,
-                content=content,
-                structure=self._structure_for(dataset, structure),
-                release=dataset.release,
+                plan.source_name,
+                content=plan.content,
+                structure=plan.structure,
+                release=plan.release,
                 imported_at=self._clock(),
             )
             with tracer.span("pipeline.import.entities") as span:
-                new_objects = self._import_entities(source, dataset)
-                # The entity/association dedup of Section 4.1 happens
-                # inside add_objects/add_associations: the difference
-                # between offered and inserted rows is the duplicate work.
+                new_objects = repo.add_objects(source, plan.entities)
                 span.tag(inserted=new_objects)
-            new_associations: dict[str, int] = {}
-            new_target_objects: dict[str, int] = {}
-            skipped = 0
             with tracer.span("pipeline.import.structure"):
-                skipped += self._import_structure(source, dataset, new_associations)
-            for target in dataset.annotation_targets():
-                if target == CONTAINS_TARGET:
-                    continue
-                with tracer.span("pipeline.import.target", target=target) as span:
-                    inserted_objs, inserted_assocs = self._import_target(
-                        source, dataset, target
+                if plan.is_a:
+                    # Parents may not appear as entities (e.g. synthesized
+                    # EC classes); make sure every endpoint is an object.
+                    endpoints = {accession for pair in plan.is_a for accession in pair}
+                    repo.add_objects(source, [(acc,) for acc in sorted(endpoints)])
+                    rel = repo.ensure_source_rel(source, source, RelType.IS_A)
+                    new_associations[IS_A_TARGET] = repo.add_associations(
+                        rel, plan.is_a
                     )
-                    span.tag(objects=inserted_objs, associations=inserted_assocs)
-                new_target_objects[target] = inserted_objs
+                # Partition members must exist as objects of the parsed
+                # source; the loop only writes to the partition sources,
+                # so the parsed source's accession set is loop-invariant.
+                known = repo.accessions_of(source) if plan.partitions else set()
+                for partition_name, members in plan.partitions:
+                    partition = repo.add_source(
+                        partition_name,
+                        content=source.content,
+                        structure=SourceStructure.NETWORK,
+                    )
+                    repo.add_objects(partition, [(member,) for member in members])
+                    rel = repo.ensure_source_rel(source, partition, RelType.CONTAINS)
+                    member_rows = [(m, m) for m in members if m in known]
+                    skipped += len(members) - len(member_rows)
+                    new_associations[partition_name] = repo.add_associations(
+                        rel, member_rows
+                    )
+            for target, reduced, objects, associations in plan.targets:
+                with tracer.span("pipeline.import.target", target=target) as span:
+                    info = target_info(target)
+                    # Self-references (e.g. a LocusLink record citing
+                    # another locus) reuse the parsed source itself.
+                    if info.name.lower() == source.name.lower():
+                        target_source = source
+                    else:
+                        target_source = repo.add_source(
+                            info.name, content=info.content, structure=info.structure
+                        )
+                    inserted_objects = repo.add_objects(target_source, objects)
+                    rel_type = info.rel_type
+                    if rel_type == RelType.FACT and reduced:
+                        rel_type = RelType.SIMILARITY
+                    rel = repo.ensure_source_rel(source, target_source, rel_type)
+                    inserted_assocs = repo.add_associations(
+                        rel, associations, strict=True
+                    )
+                    span.tag(objects=inserted_objects, associations=inserted_assocs)
+                new_target_objects[target] = inserted_objects
                 new_associations[target] = inserted_assocs
             import_span.tag(
                 new_objects=new_objects,
@@ -132,115 +274,3 @@ class GamImporter:
             new_target_objects=new_target_objects,
             skipped_rows=skipped,
         )
-
-    # -- pieces ------------------------------------------------------------
-
-    def _structure_for(
-        self, dataset: EavDataset, declared: SourceStructure | str
-    ) -> SourceStructure:
-        """A source with structural rows must be Network regardless of the
-        declared default."""
-        declared = SourceStructure.parse(declared)
-        targets = set(dataset.targets())
-        if IS_A_TARGET in targets or CONTAINS_TARGET in targets:
-            return SourceStructure.NETWORK
-        return declared
-
-    def _import_entities(self, source: Source, dataset: EavDataset) -> int:
-        """Insert the parsed entities, enriched with Name/Number rows."""
-        texts: dict[str, str] = {}
-        numbers: dict[str, float] = {}
-        for row in dataset.rows_for_target(NAME_TARGET):
-            if row.text:
-                texts.setdefault(row.entity, row.text)
-        for row in dataset.rows_for_target(NUMBER_TARGET):
-            if row.number is not None:
-                numbers.setdefault(row.entity, row.number)
-        # CONTAINS rows use the partition name as their entity; the
-        # partition is a source, not an object of the parsed source.
-        partitions = dataset.partition_entities()
-        entity_rows = (
-            (entity, texts.get(entity), numbers.get(entity))
-            for entity in dataset.entities()
-            if entity not in partitions
-        )
-        return self.repository.add_objects(source, entity_rows)
-
-    def _import_target(
-        self, source: Source, dataset: EavDataset, target: str
-    ) -> tuple[int, int]:
-        """Import one annotation target: objects, mapping, associations."""
-        repo = self.repository
-        rows = dataset.rows_for_target(target)
-        info = target_info(target)
-        # Self-references (e.g. a LocusLink record citing another locus)
-        # reuse the parsed source itself as the target source.
-        if info.name.lower() == source.name.lower():
-            target_source = source
-        else:
-            target_source = repo.add_source(
-                info.name, content=info.content, structure=info.structure
-            )
-        object_rows: dict[str, tuple[str, str | None, float | None]] = {}
-        for row in rows:
-            existing = object_rows.get(row.accession)
-            if existing is None or (existing[1] is None and row.text):
-                object_rows[row.accession] = (row.accession, row.text, row.number)
-        inserted_objects = repo.add_objects(target_source, object_rows.values())
-        rel_type = info.rel_type
-        if rel_type == RelType.FACT and dataset.has_reduced_evidence(target):
-            rel_type = RelType.SIMILARITY
-        rel = repo.ensure_source_rel(source, target_source, rel_type)
-        association_rows = (
-            (row.entity, row.accession, row.evidence) for row in rows
-        )
-        inserted_assocs = repo.add_associations(rel, association_rows, strict=True)
-        return inserted_objects, inserted_assocs
-
-    def _import_structure(
-        self,
-        source: Source,
-        dataset: EavDataset,
-        new_associations: dict[str, int],
-    ) -> int:
-        """Materialize IS_A and CONTAINS rows; returns skipped-row count."""
-        repo = self.repository
-        skipped = 0
-        is_a_rows = dataset.rows_for_target(IS_A_TARGET)
-        if is_a_rows:
-            # Parents may not appear as entities (e.g. synthesized EC
-            # classes); make sure every endpoint exists as an object.
-            endpoints = {row.entity for row in is_a_rows}
-            endpoints.update(row.accession for row in is_a_rows)
-            repo.add_objects(source, [(accession,) for accession in sorted(endpoints)])
-            rel = repo.ensure_source_rel(source, source, RelType.IS_A)
-            new_associations[IS_A_TARGET] = repo.add_associations(
-                rel, [(row.entity, row.accession) for row in is_a_rows]
-            )
-        contains_rows = dataset.rows_for_target(CONTAINS_TARGET)
-        if contains_rows:
-            by_partition: dict[str, list[str]] = defaultdict(list)
-            for row in contains_rows:
-                by_partition[row.entity].append(row.accession)
-            # Partition members must exist as objects of the parsed source;
-            # the loop below only writes to the partition sources, so the
-            # parsed source's accession set is loop-invariant.
-            known = repo.accessions_of(source)
-            for partition_name, members in sorted(by_partition.items()):
-                partition = repo.add_source(
-                    partition_name,
-                    content=source.content,
-                    structure=SourceStructure.NETWORK,
-                )
-                repo.add_objects(partition, [(member,) for member in members])
-                rel = repo.ensure_source_rel(source, partition, RelType.CONTAINS)
-                member_rows = []
-                for member in members:
-                    if member not in known:
-                        skipped += 1
-                        continue
-                    member_rows.append((member, member))
-                new_associations[partition_name] = repo.add_associations(
-                    rel, member_rows
-                )
-        return skipped

@@ -9,29 +9,42 @@ one source per line::
     locuslink.txt	LocusLink	2003-10
     go.obo	GO	2003-10
 
-Files are imported in manifest order, which matters only for reporting —
-the GAM import itself is order-independent thanks to duplicate elimination.
+Files are imported in manifest order, and every import is written by the
+calling thread, so source ids, reports and the stored database do not
+depend on how many parse processes ran.
 """
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
+import contextlib
 import dataclasses
+import functools
+import itertools
+import multiprocessing
 import os
+import pickle
+import time
+from collections.abc import Callable, Iterator
 from pathlib import Path
+from typing import NamedTuple
 
 from repro.eav.io import read_eav
 from repro.eav.store import EavDataset
 from repro.gam.errors import ImportError_, ParseError
 from repro.gam.repository import GamRepository
-from repro.importer.importer import GamImporter, ImportReport
-from repro.obs import annotate_event, event_scope, get_registry, get_tracer
+from repro.importer.importer import GamImporter, ImportPlan, ImportReport, plan_import
+from repro.obs import add_stage, annotate_event, event_scope, get_registry, get_tracer
 from repro.parsers.base import SourceParser, get_parser
 from repro.reliability.checkpoint import ImportJournal, file_fingerprint
 
 #: Environment switch: a truthy ``REPRO_IMPORT_RESUME`` makes directory
 #: imports skip sources whose checkpoint matches the input file.
 RESUME_ENV_VAR = "REPRO_IMPORT_RESUME"
+
+#: Default number of parse processes of ``integrate_directory``.
+WORKERS_ENV_VAR = "REPRO_IMPORT_WORKERS"
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -41,6 +54,135 @@ class ManifestEntry:
     file: str
     source: str
     release: str | None = None
+
+
+class _Job(NamedTuple):
+    """A manifest entry that still has to be imported."""
+
+    index: int
+    entry: ManifestEntry
+    path: Path
+    fingerprint: str
+    parser: SourceParser
+
+
+#: What one file's Parse step hands to the writer: the import plan, then
+#: the seconds spent parsing and planning.
+Planned = tuple[ImportPlan, float, float]
+
+
+def _parse_and_plan(parser: SourceParser, path: Path, release: str | None) -> Planned:
+    """Parse one native file and plan its import; touches no database."""
+    started = time.perf_counter()
+    dataset = parser.parse(path, release=release)
+    parsed = time.perf_counter()
+    # Parsers may adjust their classification from in-file directives
+    # (GenericTsvParser's ``#content:``), so read it after parsing.
+    plan = plan_import(dataset, content=parser.content, structure=parser.structure)
+    return plan, parsed - started, time.perf_counter() - parsed
+
+
+def _parse_and_plan_pickled(
+    parser: SourceParser, path: Path, release: str | None
+) -> bytes:
+    """Parse-process entry point: :func:`_parse_and_plan`, pickled once.
+
+    The caller keeps the bytes until it applies the plan, which holds a
+    waiting plan in a fraction of the memory of its tuples.
+    """
+    return pickle.dumps(
+        _parse_and_plan(parser, path, release), protocol=pickle.HIGHEST_PROTOCOL
+    )
+
+
+def _unpickle_result(future: concurrent.futures.Future) -> Planned:
+    return pickle.loads(future.result())
+
+
+#: Niceness increment of parse processes (see :func:`_yield_to_writer`).
+_PARSE_NICENESS = 10
+
+
+def _yield_to_writer() -> None:
+    """Parse-process initializer: lower the process's CPU priority.
+
+    The writer's applies are the import's critical path; on a machine
+    with fewer cores than busy processes, the parses then use the
+    writer's idle time instead of slowing it.
+    """
+    if hasattr(os, "nice"):
+        os.nice(_PARSE_NICENESS)
+
+
+@contextlib.contextmanager
+def _planned_in_order(
+    jobs: "list[_Job]", workers: int
+) -> Iterator[Iterator[Callable[[], Planned]]]:
+    """One callable per job, in job order, returning its :data:`Planned`.
+
+    With ``workers`` > 1 and more than one job, every job after the first
+    is parsed and planned at once in a pool of up to ``workers`` ``spawn``
+    processes, and a plan waits as pickled bytes until its callable is
+    called.  The first job is parsed in the calling thread while the pool
+    starts, since the writer would only wait for it.  If the block fails,
+    the queued parses are cancelled; the pool's processes are joined
+    before the block is left either way.  Otherwise each callable parses
+    in the calling thread.
+    """
+    in_thread = [
+        functools.partial(_parse_and_plan, job.parser, job.path, job.entry.release)
+        for job in jobs
+    ]
+    if workers < 2 or len(jobs) < 2:
+        yield iter(in_thread)
+        return
+    rest = jobs[1:]
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=min(workers, len(rest)),
+        mp_context=multiprocessing.get_context("spawn"),
+        initializer=_yield_to_writer,
+    ) as pool:
+        futures = collections.deque(
+            pool.submit(
+                _parse_and_plan_pickled, job.parser, job.path, job.entry.release
+            )
+            for job in rest
+        )
+        try:
+            # Popped, so a plan's bytes are freed once it is applied.
+            yield itertools.chain(
+                in_thread[:1],
+                (functools.partial(_unpickle_result, futures.popleft()) for __ in rest),
+            )
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+@contextlib.contextmanager
+def _file_scope(path: Path, label: str):
+    """The wide event and span of one file's integration."""
+    with event_scope("import", source=label, file=path.name), get_tracer().span(
+        "pipeline.integrate_file", source=label, file=path.name
+    ):
+        yield
+
+
+def _worker_count(workers: int | None) -> int:
+    """``workers``, or ``REPRO_IMPORT_WORKERS`` when None (default 1).
+
+    Anything but an integer >= 1 is refused, naming where it came from.
+    """
+    if workers is None:
+        raw = os.environ.get(WORKERS_ENV_VAR, "").strip() or "1"
+        if not raw.isdecimal() or int(raw) < 1:
+            raise ImportError_(
+                f"{WORKERS_ENV_VAR} must be an integer >= 1, got {raw!r}"
+            )
+        return int(raw)
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ImportError_(f"workers must be an integer >= 1, got {workers!r}")
+    return workers
 
 
 class IntegrationPipeline:
@@ -70,23 +212,26 @@ class IntegrationPipeline:
                     f"cannot integrate {path}: give source_name or a parser"
                 )
             parser = get_parser(source_name)
+        with _file_scope(path, source_name or type(parser).__name__):
+            return self._apply(path, *_parse_and_plan(parser, path, release))
+
+    def _apply(
+        self, path: Path, plan: ImportPlan, parse_s: float, plan_s: float
+    ) -> ImportReport:
+        """Write one file's plan, recording its Parse step first.
+
+        The parse and plan may have run in another process, so their
+        timings arrive as numbers and become finished spans and stages
+        of the file's wide event.
+        """
         tracer = get_tracer()
-        with event_scope(
-            "import",
-            source=source_name or type(parser).__name__,
-            file=path.name,
-        ), tracer.span(
-            "pipeline.integrate_file",
-            source=source_name or type(parser).__name__,
-            file=path.name,
-        ):
-            with tracer.span("pipeline.parse", file=path.name) as span:
-                dataset = parser.parse(path, release=release)
-                span.tag(rows=len(dataset))
-            report = self.importer.import_dataset(
-                dataset, content=parser.content, structure=parser.structure
-            )
-            _record_import(report)
+        tracer.record("pipeline.parse", parse_s, file=path.name, rows=plan.rows)
+        tracer.record("pipeline.plan", plan_s, file=path.name)
+        add_stage("pipeline.parse", parse_s)
+        add_stage("pipeline.plan", plan_s)
+        annotate_event(eav_rows=plan.rows)
+        report = self.importer.apply(plan)
+        _record_import(report)
         return report
 
     def integrate_eav_file(self, path: str | Path) -> ImportReport:
@@ -135,16 +280,18 @@ class IntegrationPipeline:
     ) -> list[ImportReport]:
         """Import every source listed in a directory's manifest.
 
-        ``workers`` > 1 integrates the manifest entries on a thread pool
-        over the connection pool: parsing overlaps across sources while
-        each source's import stays one per-source transaction behind the
-        single-writer lock.  The stored result and each source's
-        association counts are identical to a serial run; only the
-        *attribution* of shared target objects may shift between reports
-        (whichever import completes first inserts them), exactly as a
-        different manifest order would.  The returned list is always in
-        manifest order.  ``workers=None`` reads ``REPRO_IMPORT_WORKERS``
-        from the environment, defaulting to serial.
+        ``workers`` > 1 parses and plans the manifest's files in up to
+        that many processes (the calling thread parses the first file
+        while they start) and the calling thread writes the plans, one
+        per-source transaction each, strictly in manifest order.  Source
+        ids, reports and the stored database are therefore the same as
+        a serial run's.  Plans cross the process boundary as plain
+        tuples (:class:`~repro.importer.importer.ImportPlan`), and the
+        processes are started with ``spawn``, so a script that passes
+        ``workers`` > 1 needs an ``if __name__ == "__main__":`` guard.
+        ``workers=None`` reads ``REPRO_IMPORT_WORKERS`` from the
+        environment, defaulting to serial; anything but an integer >= 1
+        is refused before the manifest is read.
 
         Every completed source is checkpointed in the database
         (:class:`~repro.reliability.checkpoint.ImportJournal`); with
@@ -152,10 +299,11 @@ class IntegrationPipeline:
         whose checkpoint matches the input file's content are skipped,
         so an import killed mid-run continues where it stopped instead
         of redoing finished work.  Skipped entries report zero counts,
-        in manifest order like everything else.
+        in manifest order like everything else.  The first failure
+        stops the import: earlier sources stay imported and
+        checkpointed, later ones are not touched.
         """
-        if workers is None:
-            workers = int(os.environ.get("REPRO_IMPORT_WORKERS", "1") or "1")
+        workers = _worker_count(workers)
         if resume is None:
             resume = os.environ.get(RESUME_ENV_VAR, "").strip().lower() in (
                 "1", "true", "yes", "on",
@@ -168,19 +316,15 @@ class IntegrationPipeline:
             "pipeline.integrate_directory",
             directory=directory.name,
             sources=len(entries),
-            workers=max(workers, 1),
+            workers=workers,
         ):
             jobs, reports = self._plan_entries(
                 directory, entries, journal, resume
             )
-            if workers > 1 and len(jobs) > 1:
-                self._integrate_entries_threaded(
-                    jobs, reports, journal, workers
-                )
-            else:
-                for index, entry, file_path, fingerprint in jobs:
-                    reports[index] = self._integrate_checkpointed(
-                        entry, file_path, fingerprint, journal
+            with _planned_in_order(jobs, workers) as planned:
+                for job, plan in zip(jobs, planned):
+                    reports[job.index] = self._integrate_checkpointed(
+                        job, journal, plan
                     )
             # Refresh optimizer statistics once after the bulk load so SQL-
             # compiled views get index-driven join orders.
@@ -194,15 +338,14 @@ class IntegrationPipeline:
         entries: "list[ManifestEntry]",
         journal: ImportJournal,
         resume: bool,
-    ) -> tuple[list, list]:
+    ) -> "tuple[list[_Job], list[ImportReport | None]]":
         """Split manifest entries into work and already-done skips.
 
-        Files are validated up front (a serial run discovers a missing
-        file only when it reaches it; a resumed or parallel run must not
-        start sibling imports it would then abandon).  Returns
-        ``(jobs, reports)``: jobs as ``(index, entry, path, fingerprint)``
-        tuples, and the manifest-ordered report list pre-filled with
-        zero-count reports for skipped sources.
+        Files and parsers are resolved up front, so a missing file or an
+        unknown source fails before any import starts.  Returns ``(jobs,
+        reports)``: the jobs in manifest order, and the manifest-ordered
+        report list pre-filled with zero-count reports for skipped
+        sources.
         """
         jobs = []
         reports: list[ImportReport | None] = [None] * len(entries)
@@ -213,6 +356,7 @@ class IntegrationPipeline:
                 raise ImportError_(
                     f"manifest references missing file: {file_path}"
                 )
+            parser = get_parser(entry.source)
             fingerprint = file_fingerprint(file_path)
             if resume and journal.completed(
                 entry.source, entry.file, fingerprint, entry.release
@@ -226,70 +370,34 @@ class IntegrationPipeline:
                 )
                 skipped += 1
                 continue
-            jobs.append((index, entry, file_path, fingerprint))
+            jobs.append(_Job(index, entry, file_path, fingerprint, parser))
         if skipped:
             get_registry().counter("pipeline_sources_resumed_total").inc(skipped)
         return jobs, reports
 
     def _integrate_checkpointed(
-        self,
-        entry: "ManifestEntry",
-        file_path: Path,
-        fingerprint: str,
-        journal: ImportJournal,
+        self, job: _Job, journal: ImportJournal, plan: Callable[[], Planned]
     ) -> ImportReport:
-        """Integrate one manifest entry and checkpoint its completion.
+        """Apply one manifest entry's plan and checkpoint its completion.
 
-        The checkpoint is written *after* the import transaction commits;
-        a crash between the two re-imports just that source on resume,
+        ``plan()`` returns the entry's :data:`Planned` result.  The
+        checkpoint is written *after* the import transaction commits; a
+        crash between the two re-imports just that source on resume,
         which the GAM duplicate elimination makes a no-op.  The row-id
         watermarks snapshotted *before* the import delimit its delta for
         incremental view maintenance (:mod:`repro.derived.refresh`).
         """
         watermarks = journal.table_watermarks()
-        report = self.integrate_file(
-            file_path, source_name=entry.source, release=entry.release
-        )
+        with _file_scope(job.path, job.entry.source):
+            report = self._apply(job.path, *plan())
         journal.record(
-            entry.source,
-            entry.file,
-            fingerprint,
-            entry.release,
+            job.entry.source,
+            job.entry.file,
+            job.fingerprint,
+            job.entry.release,
             watermarks=watermarks,
         )
         return report
-
-    def _integrate_entries_threaded(
-        self,
-        jobs: list,
-        reports: "list[ImportReport | None]",
-        journal: ImportJournal,
-        workers: int,
-    ) -> None:
-        """Fan import jobs out over a thread pool, filling ``reports``
-        in manifest order.  The first failing job's exception is
-        re-raised, matching the serial contract.
-        """
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(workers, len(jobs)),
-            thread_name_prefix="repro-import",
-        ) as executor:
-            futures = [
-                (
-                    index,
-                    executor.submit(
-                        self._integrate_checkpointed,
-                        entry,
-                        file_path,
-                        fingerprint,
-                        journal,
-                    ),
-                )
-                for index, entry, file_path, fingerprint in jobs
-            ]
-            for index, future in futures:
-                reports[index] = future.result()
-
 
     def stage_directory(
         self,

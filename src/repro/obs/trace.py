@@ -209,6 +209,16 @@ class Tracer:
             return _NULL_CONTEXT
         return _SpanContext(self, name, tags or None)
 
+    def record(self, name: str, duration: float, **tags: object) -> None:
+        """Add a finished span timed elsewhere (e.g. in a worker process)
+        under the active span; no-op while disabled."""
+        if not self.enabled:
+            return
+        span = Span(name, tags or None)
+        span.duration = duration
+        span.started_at -= duration
+        self._pop(span, self._push(span))
+
     def current_span(self) -> Span | None:
         """The innermost live span of this context, if any."""
         return self._active.get()

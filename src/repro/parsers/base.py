@@ -73,7 +73,12 @@ class SourceParser(abc.ABC):
 
     @staticmethod
     def require(condition: bool, message: str, line_number: int | None = None) -> None:
-        """Raise :class:`ParseError` unless ``condition`` holds."""
+        """Raise :class:`ParseError` unless ``condition`` holds.
+
+        The caller builds ``message`` even when the condition holds, so
+        a per-line check with a formatted message is written as ``if not
+        condition: raise ParseError(...)`` instead.
+        """
         if not condition:
             raise ParseError(message, line_number=line_number)
 

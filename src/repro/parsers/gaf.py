@@ -22,6 +22,7 @@ from collections.abc import Iterable, Iterator
 
 from repro.eav.model import NAME_TARGET, EavRow
 from repro.gam.enums import SourceContent, SourceStructure
+from repro.gam.errors import ParseError
 from repro.parsers.base import SourceParser, register_parser
 
 #: GO evidence code -> plausibility stored on the association.
@@ -59,23 +60,23 @@ class GafParser(SourceParser):
             if not line.strip() or line.startswith("!"):
                 continue
             columns = line.split("\t")
-            self.require(
-                len(columns) >= _MIN_COLUMNS,
-                f"GAF row needs {_MIN_COLUMNS} columns, got {len(columns)}",
-                line_number,
-            )
+            if len(columns) < _MIN_COLUMNS:
+                raise ParseError(
+                    f"GAF row needs {_MIN_COLUMNS} columns, got {len(columns)}",
+                    line_number,
+                )
             object_id = columns[1].strip()
-            self.require(bool(object_id), "row without an object id", line_number)
+            if not object_id:
+                raise ParseError("row without an object id", line_number)
             qualifier = columns[3].strip().upper()
             if "NOT" in qualifier.split("|"):
                 # Negative annotations assert absence; GAM models presence.
                 continue
             go_id = columns[4].strip()
-            self.require(
-                go_id.startswith("GO:"),
-                f"column 5 must be a GO id, got {go_id!r}",
-                line_number,
-            )
+            if not go_id.startswith("GO:"):
+                raise ParseError(
+                    f"column 5 must be a GO id, got {go_id!r}", line_number
+                )
             evidence_code = columns[6].strip().upper()
             evidence = EVIDENCE_VALUES.get(evidence_code, 0.7)
             yield EavRow(object_id, "GO", go_id, evidence=evidence)

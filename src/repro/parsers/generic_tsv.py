@@ -27,6 +27,7 @@ from collections.abc import Iterable, Iterator
 
 from repro.eav.model import NAME_TARGET, NUMBER_TARGET, EavRow
 from repro.gam.enums import SourceContent, SourceStructure
+from repro.gam.errors import ParseError
 from repro.parsers.base import SourceParser
 
 
@@ -94,15 +95,16 @@ class GenericTsvParser(SourceParser):
         accession, sep, text = value.partition("^")
         accession = accession.strip()
         text = text.strip() if sep else ""
-        self.require(bool(accession), f"empty value in column {target!r}", line_number)
+        if not accession:
+            raise ParseError(f"empty value in column {target!r}", line_number)
         if target == NAME_TARGET:
             return EavRow(entity, NAME_TARGET, accession, text=text or accession)
         if target == NUMBER_TARGET:
             try:
                 number = float(accession)
             except ValueError as exc:
-                raise_number = f"Number column holds non-numeric {accession!r}"
-                self.require(False, raise_number, line_number)
-                raise AssertionError from exc  # unreachable
+                raise ParseError(
+                    f"Number column holds non-numeric {accession!r}", line_number
+                ) from exc
             return EavRow(entity, NUMBER_TARGET, accession, number=number)
         return EavRow(entity, target, accession, text=text or None)

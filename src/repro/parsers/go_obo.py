@@ -27,6 +27,7 @@ from collections.abc import Iterable, Iterator
 
 from repro.eav.model import CONTAINS_TARGET, IS_A_TARGET, NAME_TARGET, EavRow
 from repro.gam.enums import SourceContent, SourceStructure
+from repro.gam.errors import ParseError
 from repro.parsers.base import SourceParser, register_parser
 
 #: OBO namespace label -> partition source name.
@@ -89,7 +90,8 @@ class GoOboParser(SourceParser):
                 yield EavRow(partition, CONTAINS_TARGET, term_id)
         elif key == "is_a":
             parent = value.split("!", 1)[0].strip()
-            self.require(bool(parent), f"empty is_a parent for {term_id}")
+            if not parent:
+                raise ParseError(f"empty is_a parent for {term_id}")
             yield EavRow(term_id, IS_A_TARGET, parent)
         elif key == "xref":
             # Cross-references like "xref: Enzyme:2.4.2.7".

@@ -24,6 +24,7 @@ from collections.abc import Iterable, Iterator
 
 from repro.eav.model import NAME_TARGET, EavRow
 from repro.gam.enums import SourceContent, SourceStructure
+from repro.gam.errors import ParseError
 from repro.parsers.base import SourceParser, register_parser
 
 #: LL_tmpl key -> EAV target name.
@@ -60,13 +61,13 @@ class LocusLinkParser(SourceParser):
                 locus = line[2:].strip()
                 self.require(bool(locus), "empty locus id after '>>'", line_number)
                 continue
-            self.require(
-                locus is not None,
-                f"annotation line before any '>>' record: {line!r}",
-                line_number,
-            )
+            if locus is None:
+                raise ParseError(
+                    f"annotation line before any '>>' record: {line!r}", line_number
+                )
             key, sep, value = line.partition(":")
-            self.require(bool(sep), f"expected 'KEY: value', got {line!r}", line_number)
+            if not sep:
+                raise ParseError(f"expected 'KEY: value', got {line!r}", line_number)
             key = key.strip().upper()
             value = value.strip()
             if not value:

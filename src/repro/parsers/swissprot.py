@@ -21,6 +21,7 @@ from collections.abc import Iterable, Iterator
 
 from repro.eav.model import NAME_TARGET, EavRow
 from repro.gam.enums import SourceContent, SourceStructure
+from repro.gam.errors import ParseError
 from repro.parsers.base import SourceParser, register_parser
 
 #: DR database label -> EAV target (labels not listed pass through as-is).
@@ -82,10 +83,10 @@ class SwissProtParser(SourceParser):
                 yield ("Hugo", symbol, None)
         elif code == "DR":
             parts = [part.strip().rstrip(".") for part in value.split(";")]
-            self.require(
-                len(parts) >= 2, f"DR line needs 'DB; accession', got {value!r}",
-                line_number,
-            )
+            if len(parts) < 2:
+                raise ParseError(
+                    f"DR line needs 'DB; accession', got {value!r}", line_number
+                )
             database = parts[0].lower()
             target = _DR_TARGETS.get(database, parts[0])
             text = parts[2] if len(parts) > 2 and parts[2] not in ("-", "") else None

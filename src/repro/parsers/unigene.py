@@ -20,6 +20,7 @@ from collections.abc import Iterable, Iterator
 
 from repro.eav.model import NAME_TARGET, EavRow
 from repro.gam.enums import SourceContent, SourceStructure
+from repro.gam.errors import ParseError
 from repro.parsers.base import SourceParser, register_parser
 
 _KEY_TO_TARGET = {
@@ -49,18 +50,14 @@ class UnigeneParser(SourceParser):
                 cluster = None
                 continue
             parts = line.split(None, 1)
-            self.require(
-                len(parts) == 2, f"expected 'KEY value', got {line!r}", line_number
-            )
+            if len(parts) != 2:
+                raise ParseError(f"expected 'KEY value', got {line!r}", line_number)
             key, value = parts[0].upper(), parts[1].strip()
             if key == "ID":
                 cluster = value
                 continue
-            self.require(
-                cluster is not None,
-                f"field {key!r} before any ID line",
-                line_number,
-            )
+            if cluster is None:
+                raise ParseError(f"field {key!r} before any ID line", line_number)
             if key == "TITLE":
                 yield EavRow(cluster, NAME_TARGET, value, text=value)
             elif key == "EXPRESS":

@@ -21,7 +21,9 @@ from repro.cache import (
     estimate_size,
     spec_digest,
 )
+from repro.cache.deps import record_dependency
 from repro.core.genmapper import GenMapper
+from repro.gam.database import GamDatabase
 from repro.obs import MetricsRegistry
 from tests.conftest import GO_MINI_OBO, LOCUS_353_RECORD, UNIGENE_MINI
 
@@ -275,6 +277,28 @@ class TestGenMapperCaching:
         assert counters["cache.miss"] == 1
         assert counters["cache.hit"] == 1
         assert snapshot["gauges"]["cache.entries"] == 1
+
+
+class TestDependencyRecords:
+    def test_records_leave_with_evicted_views(self):
+        """Each Figure 6 upload is a new view key; a long-running server
+        must not keep a dependency record per upload it ever served."""
+        with GamDatabase() as db:
+            cache = MappingCache(db, max_entries=16, registry=MetricsRegistry())
+            keys = [
+                MappingCache.view_key("LocusLink", f"upload-{i}") for i in range(200)
+            ]
+
+            def loader():
+                record_dependency("LocusLink", "GO")
+                return object()
+
+            for key in keys:
+                cache.get_or_load(key, loader)
+            recorded = [key for key in keys if cache.dependencies(key)]
+            assert len(cache) == 16
+            assert recorded == keys[-16:]
+            assert cache.dependencies(keys[-1]) == ("GO", "LocusLink")
 
 
 class TestEnvironmentSwitches:

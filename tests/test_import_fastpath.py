@@ -28,14 +28,19 @@ from repro.eav.model import (
 )
 from repro.eav.store import EavDataset, EavRowsView
 from repro.gam.database import GamDatabase
+from repro.gam.dump import canonical_snapshot
 from repro.gam.enums import RelType
 from repro.gam.errors import (
     GamIntegrityError,
     ImportError_,
+    ParseError,
     UnknownMappingError,
 )
 from repro.gam.repository import GamRepository
 from repro.importer.importer import GamImporter
+from repro.importer.pipeline import ManifestEntry, write_manifest
+from repro.reliability.checkpoint import ImportJournal
+from tests.conftest import GO_MINI_OBO, LOCUS_353_RECORD
 
 
 def _sample_dataset() -> EavDataset:
@@ -438,52 +443,91 @@ def universe_dir(tmp_path_factory):
     return directory
 
 
+#: Import timestamp of :func:`_import_directory`, so reports compare whole.
+FIXED_CLOCK = "2003-10-01 00:00:00"
+
+
+def _import_directory(gm: GenMapper, directory, workers: int) -> dict:
+    """Import a manifest directory; everything the import decided."""
+    gm.pipeline.importer = GamImporter(gm.repository, clock=lambda: FIXED_CLOCK)
+    reports = gm.integrate_directory(directory, workers=workers)
+    repo = gm.repository
+    sources = [(source.source_id, source.name) for source in repo.list_sources()]
+    state = {"tables": gm.db.counts()}
+    for source in repo.list_sources():
+        state[f"objects:{source.name}"] = repo.accessions_of(source)
+    for rel in repo.find_source_rels():
+        names = (
+            repo.get_source(rel.source1_id).name,
+            repo.get_source(rel.source2_id).name,
+            rel.type.value,
+        )
+        state[f"rel:{names}"] = repo.count_associations(rel)
+    return {
+        "reports": reports,
+        "sources": sources,
+        "state": state,
+        "snapshot": canonical_snapshot(repo),
+    }
+
+
 class TestParallelDirectoryImport:
     def test_parallel_matches_serial(self, universe_dir):
-        """The stored database must be identical to a serial run.
-
-        Per-report *attribution* of shared target objects legitimately
-        depends on completion order (whichever import reaches the GO
-        source first inserts its objects), so the invariants are the
-        stored state and the per-mapping association counts, which each
-        belong to exactly one source's import.
-        """
-        def snapshot(gm):
-            repo = gm.repository
-            state = {"tables": gm.db.counts()}
-            for source in repo.list_sources():
-                state[f"objects:{source.name}"] = repo.accessions_of(source)
-            for rel in repo.find_source_rels():
-                names = (
-                    repo.get_source(rel.source1_id).name,
-                    repo.get_source(rel.source2_id).name,
-                    rel.type.value,
-                )
-                state[f"rel:{names}"] = repo.count_associations(rel)
-            return state
-
+        """Parse processes change nothing the import decides: every
+        ``workers=4`` run assigns the serial run's source ids, stores
+        its database and returns its reports field for field."""
         with GenMapper() as serial_gm:
-            serial_reports = serial_gm.integrate_directory(universe_dir)
-            serial_state = snapshot(serial_gm)
-        with GenMapper() as parallel_gm:
-            parallel_reports = parallel_gm.integrate_directory(
-                universe_dir, workers=4
-            )
-            parallel_state = snapshot(parallel_gm)
-        assert parallel_state == serial_state
-        # Reports come back in manifest order regardless of completion
-        # order, and each source's association counts are deterministic.
-        assert [r.source.name for r in parallel_reports] == [
-            r.source.name for r in serial_reports
+            serial = _import_directory(serial_gm, universe_dir, workers=1)
+        assert len(serial["reports"]) > 1
+        for __ in range(5):
+            with GenMapper() as parallel_gm:
+                parallel = _import_directory(parallel_gm, universe_dir, workers=4)
+            assert parallel["sources"] == serial["sources"]
+            assert parallel["reports"] == serial["reports"]
+            assert parallel["state"] == serial["state"]
+            assert parallel["snapshot"] == serial["snapshot"]
+
+    def test_parallel_failure_keeps_earlier_sources_only(self, tmp_path):
+        """A malformed third file stops a ``workers=2`` import where a
+        serial import stops: the first two sources are imported and
+        checkpointed, nothing after them is."""
+        (tmp_path / "ll.txt").write_text(LOCUS_353_RECORD, encoding="utf-8")
+        (tmp_path / "go.obo").write_text(GO_MINI_OBO, encoding="utf-8")
+        (tmp_path / "unigene.txt").write_text(
+            "ID          Hs.28914\nTITLE       APRT\nGENE\n", encoding="utf-8"
+        )
+        (tmp_path / "hugo.tsv").write_text(
+            "symbol\tlocuslink\nAPRT\t353\n", encoding="utf-8"
+        )
+        entries = [
+            ManifestEntry("ll.txt", "LocusLink", "r1"),
+            ManifestEntry("go.obo", "GO", "r1"),
+            ManifestEntry("unigene.txt", "Unigene", "r1"),
+            ManifestEntry("hugo.tsv", "Hugo", "r1"),
         ]
-        for parallel_report, serial_report in zip(
-            parallel_reports, serial_reports
-        ):
-            assert (
-                parallel_report.new_associations
-                == serial_report.new_associations
+        write_manifest(tmp_path / "manifest.tsv", entries)
+        write_manifest(tmp_path / "first_two.tsv", entries[:2])
+        with GenMapper() as expected_gm:
+            expected_gm.pipeline.integrate_directory(
+                tmp_path, manifest_name="first_two.tsv"
             )
-            assert parallel_report.skipped_rows == serial_report.skipped_rows
+            expected_sources = expected_gm.repository.list_sources()
+            expected_snapshot = canonical_snapshot(expected_gm.repository)
+        with GenMapper() as gm:
+            with pytest.raises(ParseError, match="expected 'KEY value'") as caught:
+                gm.integrate_directory(tmp_path, workers=2)
+            assert caught.value.line_number == 3
+            sources = gm.repository.list_sources()
+            assert [(s.source_id, s.name) for s in sources] == [
+                (s.source_id, s.name) for s in expected_sources
+            ]
+            assert {s.name for s in sources if s.release == "r1"} == {
+                "LocusLink", "GO"
+            }
+            assert canonical_snapshot(gm.repository) == expected_snapshot
+            assert sorted(ImportJournal(gm.db).entries()) == [
+                "GO/go.obo", "LocusLink/ll.txt"
+            ]
 
     def test_workers_env_default(self, universe_dir, monkeypatch):
         monkeypatch.setenv("REPRO_IMPORT_WORKERS", "4")

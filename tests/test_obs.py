@@ -167,6 +167,19 @@ class TestSpanMetricsFeedback:
         assert set(timings) == {"stage.one", "stage.two"}
         assert timings["stage.one"]["count"] == 1
 
+    def test_recorded_span_nests_and_observes_its_duration(self, tracer):
+        with tracer.span("parent") as parent:
+            tracer.record("worker.parse", 0.25, rows=7)
+        (child,) = parent.children
+        assert (child.name, child.duration, child.tags) == (
+            "worker.parse", 0.25, {"rows": 7}
+        )
+        tracer.record("lone", 0.5)
+        assert [root.name for root in tracer.finished] == ["parent", "lone"]
+        timings = tracer.registry.stage_timings()
+        assert timings["worker.parse"]["count"] == 1
+        Tracer(enabled=False).record("ignored", 1.0)
+
     def test_export_jsonl_roundtrip(self, tracer, tmp_path):
         with tracer.span("root", source="GO"):
             with tracer.span("leaf"):

@@ -97,6 +97,32 @@ class TestIntegrateDirectory:
         reports = pipeline.integrate_directory(tmp_path)
         assert [report.source.name for report in reports] == ["LocusLink", "Hugo"]
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2"])
+    def test_bad_workers_variable_rejected_before_manifest(
+        self, pipeline, tmp_path, monkeypatch, raw
+    ):
+        # No manifest in tmp_path: the worker count must fail first.
+        monkeypatch.setenv("REPRO_IMPORT_WORKERS", raw)
+        with pytest.raises(ImportError_, match="REPRO_IMPORT_WORKERS"):
+            pipeline.integrate_directory(tmp_path)
+
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, True])
+    def test_bad_workers_argument_rejected_before_manifest(
+        self, pipeline, tmp_path, workers
+    ):
+        with pytest.raises(ImportError_, match="workers must be"):
+            pipeline.integrate_directory(tmp_path, workers=workers)
+
+    @pytest.mark.parametrize("flag", ["0", "abc"])
+    def test_bad_workers_flag_rejected(self, tmp_path, capsys, flag):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as caught:
+            main(["--db", str(tmp_path / "gam.db"), "import", str(tmp_path),
+                  "--workers", flag])
+        assert caught.value.code == 2
+        assert "--workers: must be an integer >= 1" in capsys.readouterr().err
+
     def test_missing_file_rejected(self, pipeline, tmp_path):
         write_manifest(
             tmp_path / "manifest.tsv", [ManifestEntry("ghost.txt", "LocusLink")]
