@@ -2,10 +2,12 @@
 
 Two claims are measured and enforced here:
 
-1. **Warm cache wins big** — a warm ``Map``/``Compose``/``GenerateView``
-   call served from the generation-aware mapping cache must be at least
-   5x faster than the cold database load (in practice it is orders of
-   magnitude: a dict probe versus a multi-join load).
+1. **Warm cache wins big** — a warm ``Map``/``Compose`` call served
+   from the generation-aware mapping cache must be at least 5x faster
+   than the cold database load (in practice it is orders of magnitude:
+   a dict probe versus a multi-join load).  Views are not cached; a
+   warm ``GenerateView`` joins over cached mappings
+   (``test_bench_view_warm`` times it).
 2. **SQL pushdown beats the Python fold** — composing a multi-hop path
    as one grouped aggregation inside SQLite must not lose to loading
    every leg and joining in Python dicts.
@@ -77,22 +79,6 @@ def test_warm_compose_speedup(cached_genmapper, nocache_genmapper):
     assert cold / warm >= MIN_WARM_SPEEDUP
 
 
-def test_warm_view_speedup(cached_genmapper, nocache_genmapper):
-    targets = ["LocusLink", "GO"]
-    cold = _best_of(
-        lambda: nocache_genmapper.generate_view(
-            "NetAffx", targets, combine="OR"
-        ),
-        3,
-    )
-    cached_genmapper.generate_view("NetAffx", targets, combine="OR")  # prime
-    warm = _best_of(
-        lambda: cached_genmapper.generate_view("NetAffx", targets, combine="OR"),
-        10,
-    )
-    assert cold / warm >= MIN_WARM_SPEEDUP
-
-
 def test_bench_map_cold(benchmark, nocache_genmapper):
     mapping = benchmark(nocache_genmapper.map, "NetAffx", "GO")
     benchmark.extra_info["experiment"] = "Cache: Map cold (cache off)"
@@ -114,7 +100,7 @@ def test_bench_view_warm(benchmark, cached_genmapper):
     view = benchmark(
         cached_genmapper.generate_view, "NetAffx", targets, combine="OR"
     )
-    benchmark.extra_info["experiment"] = "Cache: GenerateView warm"
+    benchmark.extra_info["experiment"] = "Cache: GenerateView over warm mappings"
     benchmark.extra_info["rows"] = len(view)
 
 

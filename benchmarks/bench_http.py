@@ -3,10 +3,12 @@
 Two claims are measured and enforced here:
 
 1. **Streaming bounds serialization memory** — serving a large object
-   listing as chunked JSON must allocate a small fraction of what the
-   buffered ``json.dumps`` path allocates for the same byte-identical
-   body.  Peaks are measured with ``tracemalloc`` over the WSGI callable
-   driven directly (no sockets), so only serialization differs.
+   listing as chunked JSON must peak under a fixed byte bound, with a
+   body byte-identical to the buffered one.  The bound is absolute, not
+   a fraction of the buffered peak: both modes share one encoder, so a
+   leaner buffered path must not fail the streamed one.  Peaks are
+   measured with ``tracemalloc`` over the WSGI callable driven directly
+   (no sockets).
 2. **Conditional GET revalidation is (nearly) free** — a warm repeat
    request presenting ``If-None-Match`` must answer ``304`` at a small
    fraction of the full-body ``200`` latency: the handler, repository
@@ -28,9 +30,10 @@ import pytest
 from repro.obs import MetricsRegistry
 from repro.web.app import create_app
 
-#: Streamed serialization peak must stay below this fraction of the
-#: buffered peak for the same body (observed: well under 10%).
-MAX_STREAM_PEAK_FRACTION = 0.5
+#: Streamed serialization peak bound, in bytes.  Observed: 261-277k on
+#: the bench universe's largest listing (a 66 KB body); the ratio gate
+#: this replaces allowed half the buffered peak, about 398k.
+MAX_STREAM_PEAK_BYTES = 320 * 1024
 
 #: A warm 304 must beat the equivalent full 200 by at least this factor
 #: (conservative; the 304 does no routing, no repository work, no body).
@@ -54,7 +57,7 @@ def edge(bench_genmapper):
     return app, largest.name
 
 
-def _call(app, method, path, query="", headers=None):
+def _call(app, method, path, query="", headers=None, body=None):
     environ = {
         "REQUEST_METHOD": method,
         "PATH_INFO": path,
@@ -74,6 +77,8 @@ def _call(app, method, path, query="", headers=None):
     size = 0
     for chunk in body_iter:
         size += len(chunk)
+        if body is not None:
+            body.append(chunk)
     close = getattr(body_iter, "close", None)
     if close is not None:
         close()
@@ -128,10 +133,9 @@ def test_streamed_listing_peak_memory(edge, benchmark):
         streamed_peak / buffered_peak, 4
     )
     benchmark(streamed)
-    assert streamed_peak < buffered_peak * MAX_STREAM_PEAK_FRACTION, (
+    assert streamed_peak < MAX_STREAM_PEAK_BYTES, (
         f"streamed serialization peaked at {streamed_peak} bytes,"
-        f" >= {MAX_STREAM_PEAK_FRACTION:.0%} of the buffered"
-        f" {buffered_peak} bytes"
+        f" >= {MAX_STREAM_PEAK_BYTES} (buffered: {buffered_peak} bytes)"
     )
 
 
@@ -152,11 +156,20 @@ def test_streamed_map_matches_buffered(edge, bench_genmapper, benchmark):
         if query:
             break
     assert query, "benchmark universe has no sizable mapping"
-    status, __, buffered_size = _call(app, "GET", "/map", f"{query}&stream=0")
+    buffered, streamed = [], []
+    status, __, buffered_size = _call(
+        app, "GET", "/map", f"{query}&stream=0", body=buffered
+    )
     assert status == 200
-    status, __, streamed_size = _call(app, "GET", "/map", f"{query}&stream=1")
+    status, __, streamed_size = _call(
+        app, "GET", "/map", f"{query}&stream=1", body=streamed
+    )
     assert status == 200
     assert streamed_size == buffered_size
+    # Both modes share one encoder; the oracle is the standard library's.
+    for chunks in (buffered, streamed):
+        body = b"".join(chunks)
+        assert body == json.dumps(json.loads(body), indent=2).encode()
     benchmark.extra_info["experiment"] = "stream_map"
     benchmark.extra_info["body_bytes"] = buffered_size
     benchmark(lambda: _call(app, "GET", "/map", f"{query}&stream=1"))

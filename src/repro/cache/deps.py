@@ -3,20 +3,19 @@
 Cache keys are frozen tuples (``(kind, source, target, variant)``) and
 cannot name every source a loader actually read: an auto-routed ``map``
 call caches under ``(source, target)`` while its loader walks hidden
-intermediate sources, and a view loader fans out across one mapping per
-target.  So dependencies are discovered *at load time* instead: the
-read-through cache opens a capture frame around the loader, and the few
-chokepoints that read mapping data off the database
+intermediate sources.  So dependencies are discovered *at load time*
+instead: the read-through cache opens a capture frame around the
+loader, and the few chokepoints that read mapping data off the database
 (:meth:`repro.gam.repository.GamRepository.fetch_mapping_associations`,
 :func:`repro.operators.sql_engine.resolve_hop_rel`,
-:func:`repro.derived.subsumed.load_taxonomy`, the view engines) call
+:func:`repro.derived.subsumed.load_taxonomy`) call
 :func:`record_dependency` with the source names they touched.
 
 Frames stack per-thread, and a recorded dependency lands in **every**
-active frame, so a nested cached load (view -> inner map) propagates its
-dependencies outward whether the inner lookup hits or misses.  With no
-frame active, :func:`record_dependency` is a cheap no-op — the hot read
-path outside the cache pays one attribute lookup.
+active frame, so a nested cached load (Subsumed -> inner taxonomy)
+propagates its dependencies outward whether the inner lookup hits or
+misses.  With no frame active, :func:`record_dependency` is a cheap
+no-op — the hot read path outside the cache pays one attribute lookup.
 
 The captured set becomes the entry's dependency list in
 :class:`repro.cache.MappingCache`, which validates the entry against the

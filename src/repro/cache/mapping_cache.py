@@ -4,9 +4,10 @@ GenMapper's interactive workload (paper Section 5.1) re-reads the same
 few mappings over and over: every ``Map``, ``Compose`` and
 ``GenerateView`` call loads its legs row-by-row from the database.  The
 :class:`MappingCache` keeps the loaded value objects — ``Mapping``
-instances, parsed ``Taxonomy`` DAGs, composed path results and rendered
-:class:`~repro.operators.views.AnnotationView` rows — in a bounded,
-thread-safe LRU keyed on ``(kind, source, target, variant)``.
+instances, parsed ``Taxonomy`` DAGs and composed path results — in a
+bounded, thread-safe LRU keyed on ``(kind, source, target, variant)``.
+Annotation views are not cached: each is joined per request over the
+cached mappings.
 
 Correctness rests on **generation-based invalidation**: every entry is
 stamped with the owning database's monotonic data generation
@@ -64,9 +65,6 @@ CACHE_SIZE_ENV_VAR = "REPRO_CACHE_SIZE"
 #: two accession strings, dict/tuple overhead amortized.
 _ASSOCIATION_BYTES = 160
 
-#: Rough per-view-cell footprint.
-_CELL_BYTES = 64
-
 #: Rough per-taxonomy-edge footprint (parents + children sets).
 _EDGE_BYTES = 200
 
@@ -98,17 +96,13 @@ def estimate_size(value: object) -> int:
     associations = getattr(value, "associations", None)
     if associations is not None:  # Mapping
         return 96 + _ASSOCIATION_BYTES * len(associations)
-    rows = getattr(value, "rows", None)
-    if rows is not None:  # AnnotationView
-        width = len(getattr(value, "columns", ())) or 1
-        return 96 + _CELL_BYTES * width * len(rows)
     if hasattr(value, "subsumed_pairs"):  # Taxonomy
         return 96 + _EDGE_BYTES * len(value)
     return 256
 
 
 def spec_digest(*parts: object) -> str:
-    """A stable short digest of arbitrary key parts (view cache variants).
+    """A stable short digest of arbitrary key parts.
 
     Collections must be pre-sorted by the caller; the digest is over the
     ``repr`` of the parts, which is deterministic for the plain-data
@@ -182,10 +176,6 @@ class MappingCache:
     def taxonomy_key(source: str) -> tuple:
         return ("taxonomy", str(source), str(source), "")
 
-    @staticmethod
-    def view_key(source: str, variant: str) -> tuple:
-        return ("view", str(source), "", variant)
-
     # -- core read-through -------------------------------------------------
 
     def get_or_load(self, key: tuple, loader: Callable[[], object]) -> object:
@@ -233,8 +223,8 @@ class MappingCache:
         loaded, was_hit = self._lru.get_or_load(key, required, scoped_loader)
         if was_hit and loaded.deps:
             # Propagate this entry's dependencies to any outer capture
-            # (a cached view composing over a cached mapping must inherit
-            # the mapping's sources even when the inner lookup hits).
+            # (a cached Subsumed mapping built over the cached taxonomy
+            # must inherit its sources even when the inner lookup hits).
             record_dependency(*loaded.deps)
         incr_event("cache_hits" if was_hit else "cache_misses")
         self._publish_metrics()

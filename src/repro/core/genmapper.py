@@ -29,7 +29,6 @@ from repro.cache import (
     MappingCache,
     cache_enabled_by_env,
     cache_size_from_env,
-    spec_digest,
 )
 from repro.derived.composed import derive_composed, materialize_mapping
 from repro.derived.refresh import (
@@ -47,7 +46,7 @@ from repro.gam.records import Association, GamObject, Source
 from repro.gam.repository import GamRepository
 from repro.importer.importer import ImportReport
 from repro.importer.pipeline import IntegrationPipeline
-from repro.obs import annotate_event, event_scope, get_tracer
+from repro.obs import annotate_event, event_scope
 from repro.operators.compose import EvidenceCombiner, compose, product_evidence
 from repro.operators.generate_view import TargetSpec, generate_view
 from repro.operators.mapping import Mapping
@@ -226,7 +225,7 @@ class GenMapper:
 
     # -- resilience (docs/reliability.md) ----------------------------------------
 
-    def _resilient(self, fetch, key=None, stale_wrap=None):
+    def _resilient(self, fetch, key=None):
         """Run one query-serving fetch under the circuit breaker.
 
         When the circuit is open, or the fetch fails with a transient
@@ -234,9 +233,7 @@ class GenMapper:
         ``key`` is served instead and the response is flagged degraded
         (:func:`repro.reliability.breaker.mark_degraded`).  Without a
         fallback the breaker's :class:`CircuitOpenError` (open circuit)
-        or the storage error itself propagates.  ``stale_wrap`` adapts a
-        bare stale value to the fetch's return shape (``cache.lookup``
-        returns ``(value, was_hit)`` tuples).
+        or the storage error itself propagates.
         """
         breaker = self.breaker
         if breaker is None:
@@ -249,7 +246,7 @@ class GenMapper:
             if not found:
                 return None
             mark_degraded(reason)
-            return (value if stale_wrap is None else stale_wrap(value))
+            return value
 
         if not breaker.allow():
             served = stale_or_none(f"circuit open: stale {key[0] if key else '?'}")
@@ -377,100 +374,32 @@ class GenMapper:
         — including Compose paths and negation — into one SQL statement
         (see :mod:`repro.operators.sql_engine`).  Results are identical;
         the SQL engine ignores ``combiner`` since views carry no evidence.
+
+        Views are not cached: the in-memory engine joins each request's
+        upload over the (cached) mappings.  Each mapping is fetched under
+        the circuit breaker on its own, so in degraded mode a view is
+        built from stale cached mappings.
         """
         specs = [self._as_spec(target) for target in targets]
-        if engine not in ("memory", "sql"):
-            raise ValueError(f"unknown view engine {engine!r}")
-        if source_objects is not None:
-            # Normalize once: the accession set keys the cache *and* feeds
-            # the loader, so a one-shot iterator must not be consumed twice.
-            source_objects = tuple(source_objects)
-        label = _combiner_label(combiner)
-        key = (
-            self.view_cache_key(source, specs, source_objects, combine, engine, label)
-            if self.cache is not None and (label is not None or engine == "sql")
-            else None
-        )
-        if key is None:
-            return self._resilient(
-                lambda: self._generate_view_uncached(
-                    source, specs, source_objects, combine, combiner, engine
-                )
-            )
-        view, was_hit = self._resilient(
-            lambda: self.cache.lookup(
-                key,
-                lambda: self._generate_view_uncached(
-                    source, specs, source_objects, combine, combiner, engine
-                ),
-            ),
-            key,
-            # A stale view served in degraded mode counts as a hit.
-            stale_wrap=lambda value: (value, True),
-        )
-        span = get_tracer().current_span()
-        if span is not None:
-            span.tag(view_cached=was_hit)
-        return view
-
-    def _generate_view_uncached(
-        self,
-        source: str,
-        specs: Sequence[TargetSpec],
-        source_objects: Iterable[str] | None,
-        combine: CombineMethod | str,
-        combiner: EvidenceCombiner,
-        engine: str,
-    ) -> AnnotationView:
         if engine == "sql":
             from repro.operators.sql_engine import SqlViewEngine
 
-            return SqlViewEngine(self.repository).generate_view(
-                source, source_objects, specs, combine
+            return self._resilient(
+                lambda: SqlViewEngine(self.repository).generate_view(
+                    source, source_objects, specs, combine
+                )
             )
+        if engine != "memory":
+            raise ValueError(f"unknown view engine {engine!r}")
         if source_objects is None:
-            source_objects = self.repository.accessions_of(source)
+            source_objects = self._resilient(
+                lambda: self.repository.accessions_of(source)
+            )
 
         def resolver(view_source: str, spec: TargetSpec) -> Mapping:
             return self.map(view_source, spec.name, via=spec.via or None, combiner=combiner)
 
         return generate_view(resolver, source, source_objects, specs, combine)
-
-    @staticmethod
-    def view_cache_key(
-        source: str,
-        specs: Sequence[TargetSpec],
-        source_objects: Iterable[str] | None,
-        combine: CombineMethod | str,
-        engine: str,
-        combiner_label: str | None,
-    ) -> tuple:
-        """The cache key of one rendered annotation view.
-
-        Deterministic over the full query shape: target specs (restrict
-        sets and via paths sorted/ordered), the uploaded accession set,
-        the combine method, the engine and the evidence combiner.
-        """
-        spec_parts = tuple(
-            (
-                spec.name,
-                None if spec.restrict is None else tuple(sorted(spec.restrict)),
-                spec.negated,
-                tuple(spec.via),
-            )
-            for spec in specs
-        )
-        objects_part = (
-            None if source_objects is None else tuple(sorted(source_objects))
-        )
-        variant = spec_digest(
-            spec_parts,
-            objects_part,
-            CombineMethod.parse(combine).value,
-            engine,
-            combiner_label or "",
-        )
-        return MappingCache.view_key(source, variant)
 
     @staticmethod
     def _as_spec(target: TargetLike) -> TargetSpec:

@@ -9,6 +9,7 @@ reading them reads like the paper: ``source.content``, ``obj.accession``,
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Iterable, Sequence
 
 from repro.gam.enums import RelType, SourceContent, SourceStructure
 
@@ -104,3 +105,23 @@ class Association:
     def reversed(self) -> "Association":
         """Return the same association with source and target swapped."""
         return Association(self.target_accession, self.source_accession, self.evidence)
+
+
+def shared_associations(rows: Iterable[Sequence]) -> list[Association]:
+    """Associations of ``(accession1, accession2, evidence)`` rows, in order.
+
+    Each distinct accession and each distinct evidence value becomes one
+    object shared by every association holding it.  A database cursor
+    returns fresh objects per cell, so a loaded mapping would otherwise
+    hold an accession once per row it appears in.
+    """
+    shared_accession = {}.setdefault
+    shared_evidence = {}.setdefault
+    return [
+        Association(
+            shared_accession(acc1, acc1),
+            shared_accession(acc2, acc2),
+            shared_evidence(evidence, evidence),
+        )
+        for acc1, acc2, evidence in rows
+    ]

@@ -31,7 +31,14 @@ from repro.gam.errors import (
     UnknownObjectError,
     UnknownSourceError,
 )
-from repro.gam.records import Association, GamObject, ObjectRel, Source, SourceRel
+from repro.gam.records import (
+    Association,
+    GamObject,
+    ObjectRel,
+    Source,
+    SourceRel,
+    shared_associations,
+)
 
 #: Rows accepted by ``add_objects``: (accession,), (accession, text) or
 #: (accession, text, number).
@@ -274,10 +281,14 @@ class GamRepository:
                 inserts,
             )
             if updates:
+                # Rows whose values would not change are left alone: a
+                # re-import offers mostly unchanged objects.
                 self.db.executemany(
-                    "UPDATE object SET text = coalesce(?, text),"
-                    " number = coalesce(?, number)"
-                    " WHERE source_id = ? AND accession = ?",
+                    "UPDATE object SET text = coalesce(?1, text),"
+                    " number = coalesce(?2, number)"
+                    " WHERE source_id = ?3 AND accession = ?4"
+                    " AND (text IS NOT coalesce(?1, text)"
+                    " OR number IS NOT coalesce(?2, number))",
                     updates,
                 )
             if cache is not None and fresh:
@@ -611,8 +622,13 @@ class GamRepository:
         return int(row[0])
 
     def associations_of(self, rel: SourceRel) -> list[Association]:
-        """All associations of a relationship, materialized with accessions."""
-        rows = self.db.execute(
+        """All associations of a relationship, materialized with accessions.
+
+        Rows stream from the cursor in batches, and each distinct
+        accession and evidence value is one object per load
+        (:func:`~repro.gam.records.shared_associations`).
+        """
+        rows = self.db.execute_read_iter(
             "SELECT o1.accession AS acc1, o2.accession AS acc2, r.evidence"
             " FROM object_rel r"
             " JOIN object o1 ON o1.object_id = r.object1_id"
@@ -620,8 +636,8 @@ class GamRepository:
             " WHERE r.src_rel_id = ?"
             " ORDER BY acc1, acc2",
             (rel.src_rel_id,),
-        ).fetchall()
-        return [Association(row["acc1"], row["acc2"], row["evidence"]) for row in rows]
+        )
+        return shared_associations(rows)
 
     def object_rels_of(self, rel: SourceRel) -> list[ObjectRel]:
         """Raw object-relationship rows of one source relationship."""

@@ -29,7 +29,7 @@ from collections.abc import Iterable, Sequence
 from repro.cache.deps import record_dependency
 from repro.gam.enums import CombineMethod, RelType
 from repro.gam.errors import UnknownMappingError, ViewGenerationError
-from repro.gam.records import SourceRel
+from repro.gam.records import SourceRel, shared_associations
 from repro.gam.repository import GamRepository
 from repro.obs import get_tracer
 from repro.operators.generate_view import TargetSpec
@@ -170,6 +170,8 @@ def compose_sql(
         engine="sql",
     ) as span:
         plan = _chain_join_plan(repository, steps, combiner)
+        # One row per endpoint pair, already in Mapping.build's order
+        # (SQLite's BINARY collation orders UTF-8 text by code point).
         sql = (
             "SELECT so.accession AS src, to_.accession AS tgt,"
             f" max({plan.chain_evidence}) AS evidence FROM "
@@ -178,15 +180,16 @@ def compose_sql(
             + f"\n  JOIN object to_ ON to_.object_id = {plan.end_expr}"
             + "\n  WHERE r1.src_rel_id = ?"
             + "\n  GROUP BY so.accession, to_.accession"
+            + "\n  ORDER BY so.accession, to_.accession"
         )
-        rows = repository.db.execute_read(
+        rows = repository.db.execute_read_iter(
             sql, (*plan.join_parameters, plan.first_rel.src_rel_id)
-        ).fetchall()
+        )
         rel_type = plan.first_rel.type if len(steps) == 2 else RelType.COMPOSED
-        mapping = Mapping.build(
+        mapping = Mapping(
             source.name,
             target.name,
-            ((row["src"], row["tgt"], row["evidence"]) for row in rows),
+            tuple(shared_associations(rows)),
             rel_type=rel_type,
         )
         span.tag(associations=len(mapping))
@@ -260,7 +263,6 @@ class SqlViewEngine:
         or must have a stored direct mapping.
         """
         tracer = get_tracer()
-        record_dependency(source)
         with tracer.span(
             "operator.sql_view", source=source, targets=len(targets)
         ) as view_span:

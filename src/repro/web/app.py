@@ -50,9 +50,10 @@ The serving tier is built for heavy read traffic (``docs/http_api.md``):
   without touching the repository, so clients and fronting caches
   revalidate for free until the next write.
 * **Streaming** — large bodies (``/map``, ``/query``, object listings)
-  are serialized incrementally in bounded chunks instead of one
-  ``json.dumps`` buffer; ``?stream=1``/``?stream=0`` overrides the
-  row-count threshold.  Streamed and buffered bodies are byte-identical.
+  are sent in bounded chunks as they are encoded; smaller ones are
+  joined into one body with a ``Content-Length``.  Both modes use the
+  same encoder, so their bytes are identical; ``?stream=1``/``?stream=0``
+  overrides the row-count threshold.
 * **Rate limiting** — an optional per-client token bucket sheds floods
   with ``429`` + ``Retry-After``; while the repository circuit breaker
   is not closed, each request costs extra tokens so the edge
@@ -169,7 +170,8 @@ class ApiError(Exception):
 
 
 class RawResponse:
-    """A non-JSON response body (Prometheus text, folded profiles)."""
+    """An encoded response body: Prometheus text, folded profiles, or a
+    buffered :class:`StreamJson` body."""
 
     __slots__ = ("body", "content_type")
 
@@ -279,7 +281,11 @@ def create_app(
                 if isinstance(payload, StreamJson) and not _should_stream(
                     environ, payload, stream_threshold
                 ):
-                    payload = payload.materialize()
+                    # Buffered: the streamed encoder's bytes, one
+                    # Content-Length body.
+                    payload = RawResponse(
+                        b"".join(payload.encode()), _JSON_CONTENT_TYPE
+                    )
         except ApiError as exc:
             status, payload = exc.status, {"error": str(exc)}
             extra_headers.extend(exc.headers)
@@ -831,9 +837,9 @@ def _route_post(
 
 
 def _explain_cache(genmapper: GenMapper, spec: QuerySpec) -> dict:
-    """The explain response's cache block: per-target and whole-view
-    cache status against the *current* data generation, plus the cache's
-    live counters.  Probing is side-effect free (no hit/miss accounting).
+    """The explain response's cache block: per-target cache status
+    against the *current* data generation, plus the cache's live
+    counters.  Probing is side-effect free (no hit/miss accounting).
     """
     cache = genmapper.cache
     if cache is None:
@@ -862,19 +868,10 @@ def _explain_cache(genmapper: GenMapper, spec: QuerySpec) -> dict:
                 ),
             }
         )
-    view_key = GenMapper.view_cache_key(
-        spec.source,
-        [target.to_target_spec() for target in spec.targets],
-        spec.accessions,
-        spec.combine,
-        "memory",
-        label,
-    )
     vector = genmapper.db.generation_vector()
     return {
         "enabled": True,
         "targets": targets,
-        "view_cached": cache.is_cached(view_key),
         "stats": cache.stats(),
         # Per-source generations behind scoped invalidation: writes to a
         # source invalidate only entries depending on it; the floor is

@@ -1,18 +1,16 @@
-"""Incremental JSON serialization for large HTTP responses.
+"""Incremental JSON serialization of row-carrying HTTP responses.
 
-The buffered serving path renders a whole response as one
-``json.dumps(payload, indent=2)`` byte string — for a large mapping or
-annotation view that second copy of the result can dwarf the result
-itself.  :class:`StreamJson` instead carries the response as a small
-envelope dict plus one *streamed field* (the row array) and serializes
-it incrementally: rows are encoded one at a time and coalesced into
-bounded chunks, so serialization memory is O(chunk) regardless of the
-row count.
+:class:`StreamJson` carries a response as a small envelope dict plus
+one *streamed field* (the row array) and serializes it incrementally:
+rows are encoded one at a time and coalesced into bounded chunks, so
+serialization memory is O(chunk) regardless of the row count.  The edge
+sends the chunks as they come (streamed) or joins them into one body
+with a ``Content-Length`` (buffered); one encoder renders both.
 
 The encoder is **byte-identical** to ``json.dumps(payload, indent=2)``
-over the materialized payload — asserted by the edge test suite — so
-clients, checksums and the `ETag` protocol cannot tell the two paths
-apart; only the server's memory profile differs (``docs/http_api.md``).
+over the same payload with its rows in a list — asserted by the edge
+test suite — so clients, checksums and the `ETag` protocol see the same
+bytes in either mode (``docs/http_api.md``).
 
 With ``indent`` set, ``json.dumps`` runs CPython's pure-Python encoder.
 Flat rows of scalars — every view row and every ``/map`` row — skip it:
@@ -109,11 +107,6 @@ class StreamJson:
         self.stream_field = stream_field
         self.rows = rows
         self.row_count_hint = row_count_hint
-
-    def materialize(self) -> dict:
-        """The plain payload dict for the buffered path (rows realized)."""
-        self.payload[self.stream_field] = list(self.rows)
-        return self.payload
 
     def iter_text(self) -> Iterator[str]:
         """Text fragments forming the indent-2 rendering of the payload."""

@@ -97,6 +97,19 @@ class TestObjects:
         repo.add_objects(src, [("1",)])
         assert repo.get_object(src, "1").text == "one"
 
+    def test_identical_reimport_changes_no_rows(self, repo):
+        src = repo.add_source("LL")
+        rows = [("1", "one", 0.5), ("2", "two"), ("3",)]
+        repo.add_objects(src, rows)
+        connection = repo.db.connection
+        before = connection.total_changes
+        assert repo.add_objects(src, rows) == 0
+        assert connection.total_changes == before
+        # A changed value is still written, and only that row.
+        repo.add_objects(src, [*rows, ("3", None, 2.0)])
+        assert connection.total_changes == before + 1
+        assert repo.get_object(src, "3").number == 2.0
+
     def test_get_object_with_number(self, repo):
         src = repo.add_source("Scores")
         repo.add_objects(src, [("s1", None, 0.75)])
@@ -262,3 +275,42 @@ class TestObjectInfo:
         assert [(p, a.target_accession) for p, __, a in info_go] == [
             ("LocusLink", "353")
         ]
+
+
+class TestLeanLoads:
+    """Mapping loads stream their rows and share accession objects."""
+
+    RAW = (
+        "SELECT o1.accession AS acc1, o2.accession AS acc2, r.evidence"
+        " FROM object_rel r"
+        " JOIN object o1 ON o1.object_id = r.object1_id"
+        " JOIN object o2 ON o2.object_id = r.object2_id"
+        " WHERE r.src_rel_id = ? ORDER BY acc1, acc2"
+    )
+
+    @pytest.mark.parametrize(
+        "source, target, forward",
+        [("LocusLink", "GO", True), ("GO", "LocusLink", False)],
+    )
+    def test_loads_match_plain_sqlite(self, loaded_genmapper, source, target, forward):
+        from repro.operators.simple import map_
+
+        repo = loaded_genmapper.repository
+        rel, __ = repo.fetch_mapping_associations(source, target)
+        raw = [
+            tuple(row)
+            for row in repo.db.connection.execute(self.RAW, (rel.src_rel_id,))
+        ]
+        assert len(raw) > 50
+        loaded = [
+            (a.source_accession, a.target_accession, a.evidence)
+            for a in repo.associations_of(rel)
+        ]
+        assert loaded == raw
+        mapping = map_(repo, source, target)
+        expected = raw if forward else [(b, a, ev) for a, b, ev in raw]
+        assert [
+            (a.source_accession, a.target_accession, a.evidence) for a in mapping
+        ] == expected
+        assert len({id(a.source_accession) for a in mapping}) == len(mapping.domain())
+        assert len({id(a.target_accession) for a in mapping}) == len(mapping.range())

@@ -681,6 +681,25 @@ class TestDegradedServing:
         assert state["degraded"] is True
         assert gm.db.fault_injector.fired == fired_before
 
+    def test_open_circuit_builds_views_from_stale_mappings(
+        self, cached_paper_genmapper
+    ):
+        gm = cached_paper_genmapper
+        gm.breaker = CircuitBreaker(
+            failure_threshold=1, recovery_time=60.0, registry=MetricsRegistry()
+        )
+        mapping = gm.map("LocusLink", "GO")
+        gm.breaker.record_failure()
+        assert gm.breaker.state == OPEN
+        # An upload never served before: only its mapping is resident.
+        with capture_degraded() as state:
+            view = gm.generate_view("LocusLink", ["GO"], source_objects=["353"])
+        assert state["degraded"] is True
+        assert view.rows == tuple(
+            ("353", target) for target in mapping.targets_of("353")
+        )
+        assert view.rows
+
     def test_open_circuit_without_fallback_raises(self, paper_genmapper):
         gm = paper_genmapper
         gm.breaker = CircuitBreaker(

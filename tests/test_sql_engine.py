@@ -222,3 +222,21 @@ class TestNullSafeOrdering:
             assert view.rows == tuple(sorted(view.rows, key=row_sort_key))
         finally:
             gm.close()
+
+
+class TestComposeSql:
+    """The Compose pushdown streams its rows and shares accession objects."""
+
+    @pytest.mark.parametrize(
+        "path", [["NetAffx", "LocusLink", "GO"], ["GO", "LocusLink", "Hugo"]]
+    )
+    def test_equals_memory_compose(self, loaded_genmapper, path):
+        from repro.operators.compose import compose
+        from repro.operators.sql_engine import compose_sql
+
+        repository = loaded_genmapper.repository
+        sql = compose_sql(repository, path)
+        assert len(sql) > 50
+        assert sql == compose(repository, path, engine="memory")
+        assert len({id(a.source_accession) for a in sql}) == len(sql.domain())
+        assert len({id(a.target_accession) for a in sql}) == len(sql.range())

@@ -237,10 +237,9 @@ class TestCacheSurface:
             "dependencies": None,
             "required_generation": None,
         }]
-        assert cache["view_cached"] is False
         assert cache["generation_vector"]["floor"] >= 0
-        # Running the query warms both the mapping and the rendered view;
-        # the loader's capture makes the entry's dependencies known.
+        # Running the query warms the mapping; the loader's capture makes
+        # the entry's dependencies known.
         status, __ = call(cached_app, "POST", "/query", body=body)
         assert status == 200
         __, payload = call(cached_app, "POST", "/query/explain", body=body)
@@ -253,8 +252,8 @@ class TestCacheSurface:
             cache["generation_vector"]["sources"].get(name, 0)
             for name in ("GO", "LocusLink")
         )
-        assert cache["view_cached"] is True
-        assert cache["stats"]["entries"] >= 2
+        assert "view_cached" not in cache
+        assert cache["stats"]["entries"] == 1
 
     def test_explain_cache_block_when_disabled(self):
         from repro.core.genmapper import GenMapper

@@ -312,6 +312,16 @@ class TestConditionalGet:
         assert registry.counter("edge.not_modified").value == 1
 
 
+def indent2(body: bytes) -> bytes:
+    """The oracle body: ``json.dumps(..., indent=2)`` of the parsed body.
+
+    Buffered and streamed bodies share one encoder, so comparing them
+    with each other cannot catch an encoder fault; this oracle uses only
+    the standard library's ``json``.
+    """
+    return json.dumps(json.loads(body), indent=2).encode()
+
+
 class TestStreaming:
     def test_streamed_body_is_byte_identical_to_buffered(
         self, big_app, loaded_genmapper
@@ -327,8 +337,11 @@ class TestStreaming:
             _, streamed_headers, streamed = call(
                 big_app, "GET", path, f"{query}&stream=1"
             )
+            assert buffered == indent2(buffered)
+            assert streamed == indent2(streamed)
             assert streamed == buffered
             assert "Content-Length" in buffered_headers
+            assert int(buffered_headers["Content-Length"]) == len(buffered)
             assert "Content-Length" not in streamed_headers
 
     def test_query_post_streams_byte_identically(self, big_app, loaded_genmapper):
@@ -350,6 +363,8 @@ class TestStreaming:
         _, __, streamed = call(
             big_app, "POST", "/query", query="stream=1", body=body
         )
+        assert buffered == indent2(buffered)
+        assert streamed == indent2(streamed)
         assert streamed == buffered
         assert json.loads(buffered)["row_count"] >= 1
 
@@ -491,8 +506,8 @@ class TestStreamJsonEncoder:
         for payload, field, rows in cases:
             sj = StreamJson(dict(payload), field, iter(rows))
             streamed = b"".join(sj.encode(chunk_bytes=8))
-            materialized = StreamJson(dict(payload), field, iter(rows)).materialize()
-            assert streamed == json.dumps(materialized, indent=2).encode()
+            expected = json.dumps({**payload, field: rows}, indent=2)
+            assert streamed == expected.encode()
 
     def test_unknown_stream_field_is_rejected(self):
         with pytest.raises(ValueError):
