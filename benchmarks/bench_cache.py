@@ -10,7 +10,8 @@ Two claims are measured and enforced here:
    (``test_bench_view_warm`` times it).
 2. **SQL pushdown beats the Python fold** — composing a multi-hop path
    as one grouped aggregation inside SQLite must not lose to loading
-   every leg and joining in Python dicts.
+   every leg and joining in Python dicts (the oracle in
+   ``tests/oracle.py``).
 
 The bench bodies run through pytest-benchmark so CI snapshots land in the
 combined ``BENCH_*.json`` artifact next to ``bench_compose.py``'s numbers.
@@ -24,6 +25,7 @@ import pytest
 
 from repro.core.genmapper import GenMapper
 from repro.operators.compose import compose
+from tests import oracle
 
 #: The multi-hop composition path of the pushdown experiment.
 PUSHDOWN_PATH = ["NetAffx", "Unigene", "LocusLink", "GO"]
@@ -109,24 +111,26 @@ def test_bench_view_warm(benchmark, cached_genmapper):
 
 def test_sql_pushdown_beats_python_fold(cached_genmapper):
     repository = cached_genmapper.repository
-    sql = _best_of(lambda: compose(repository, PUSHDOWN_PATH, engine="sql"))
-    memory = _best_of(
-        lambda: compose(repository, PUSHDOWN_PATH, engine="memory")
-    )
+    sql = _best_of(lambda: compose(repository, PUSHDOWN_PATH))
+    memory = _best_of(lambda: oracle.compose(repository, PUSHDOWN_PATH))
     assert sql < memory
 
 
 def test_pushdown_and_fold_agree(cached_genmapper):
     repository = cached_genmapper.repository
-    sql = compose(repository, PUSHDOWN_PATH, engine="sql")
-    memory = compose(repository, PUSHDOWN_PATH, engine="memory")
+    sql = compose(repository, PUSHDOWN_PATH)
+    memory = oracle.compose(repository, PUSHDOWN_PATH)
     assert sql.pair_set() == memory.pair_set()
+
+
+#: The program's SQL Compose and the Python oracle's fold.
+COMPOSERS = {"sql": compose, "memory": oracle.compose}
 
 
 @pytest.mark.parametrize("engine", ["sql", "memory"])
 def test_bench_compose_engine(benchmark, cached_genmapper, engine):
     repository = cached_genmapper.repository
-    mapping = benchmark(compose, repository, PUSHDOWN_PATH, engine=engine)
+    mapping = benchmark(COMPOSERS[engine], repository, PUSHDOWN_PATH)
     benchmark.extra_info["experiment"] = f"Compose pushdown: engine={engine}"
     benchmark.extra_info["path"] = " -> ".join(PUSHDOWN_PATH)
     benchmark.extra_info["associations"] = len(mapping)

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from repro.datagen.noise import rewire
-from repro.operators.compose import compose_pair
 from repro.operators.mapping import Mapping
+from tests.oracle import compose_pair
 
 N = 1000
 

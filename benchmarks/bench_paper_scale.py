@@ -69,9 +69,7 @@ def _operator_phase(gm, results: dict) -> None:
     timings["map"], mapping = _timed(lambda: map_(repo, "Gene", "Term"))
     results["map_associations"] = len(mapping)
     path = ["Gene", "Term", "S00"]
-    timings["compose_sql"], composed = _timed(
-        lambda: compose(repo, path, engine="sql")
-    )
+    timings["compose_sql"], composed = _timed(lambda: compose(repo, path))
     results["compose_associations"] = len(composed)
     timings["derive_composed"], __ = _timed(
         lambda: gm.compose(path, materialize=True)
@@ -179,7 +177,7 @@ def _cache_phase(gm, scale: float, seed: int, results: dict) -> None:
 
 
 def _equivalence_phase(scale: float, seed: int, results: dict) -> None:
-    """Twin-database proof: refresh == drop + full rederive, per engine."""
+    """Twin-database proof: refresh == drop + full rederive."""
     from repro.core.genmapper import GenMapper
     from repro.datagen.scale import (
         PaperScaleSpec,
@@ -191,38 +189,29 @@ def _equivalence_phase(scale: float, seed: int, results: dict) -> None:
     from repro.gam.dump import canonical_snapshot
 
     path = ["Gene", "Term", "S00"]
-    verdicts = {}
-    for engine in ("sql", "memory"):
-        twins = []
-        for __ in range(2):
-            gm = GenMapper(enable_cache=False)
-            build_paper_database(
-                gm.repository, PaperScaleSpec(scale=scale, seed=seed)
-            )
-            twins.append(gm)
-        full, incremental = twins
-        incremental.compose(path, materialize=True)
-        incremental.derive_subsumed("Term")
-        watermark = _max_obj_rel_id(incremental.db)
-        for gm in twins:
-            append_delta(gm.repository, "Gene", "Term", 300, seed=seed + 5)
-            append_taxonomy_delta(gm.repository, "Term", 60, seed=seed + 6)
-        full.compose(path, materialize=True)
-        full.derive_subsumed("Term")
-        refresh_composed(
-            incremental.repository, path, watermark=watermark, engine=engine
-        )
-        refresh_subsumed(
-            incremental.repository, "Term", watermark=watermark, engine=engine
-        )
-        identical = canonical_snapshot(full.repository) == canonical_snapshot(
-            incremental.repository
-        )
-        verdicts[engine] = identical
-        for gm in twins:
-            gm.close()
-        assert identical, f"refresh({engine}) diverged from full rederive"
-    results["equivalence"] = verdicts
+    twins = []
+    for __ in range(2):
+        gm = GenMapper(enable_cache=False)
+        build_paper_database(gm.repository, PaperScaleSpec(scale=scale, seed=seed))
+        twins.append(gm)
+    full, incremental = twins
+    incremental.compose(path, materialize=True)
+    incremental.derive_subsumed("Term")
+    watermark = _max_obj_rel_id(incremental.db)
+    for gm in twins:
+        append_delta(gm.repository, "Gene", "Term", 300, seed=seed + 5)
+        append_taxonomy_delta(gm.repository, "Term", 60, seed=seed + 6)
+    full.compose(path, materialize=True)
+    full.derive_subsumed("Term")
+    refresh_composed(incremental.repository, path, watermark=watermark)
+    refresh_subsumed(incremental.repository, "Term", watermark=watermark)
+    identical = canonical_snapshot(full.repository) == canonical_snapshot(
+        incremental.repository
+    )
+    for gm in twins:
+        gm.close()
+    assert identical, "refresh diverged from full rederive"
+    results["equivalence"] = identical
 
 
 def run(scale: float, seed: int, out: Path, db_path: str | None) -> dict:

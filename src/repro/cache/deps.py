@@ -7,7 +7,7 @@ intermediate sources.  So dependencies are discovered *at load time*
 instead: the read-through cache opens a capture frame around the
 loader, and the few chokepoints that read mapping data off the database
 (:meth:`repro.gam.repository.GamRepository.fetch_mapping_associations`,
-:func:`repro.operators.sql_engine.resolve_hop_rel`,
+:func:`repro.operators.compose.resolve_hop_rel`,
 :func:`repro.derived.subsumed.load_taxonomy`) call
 :func:`record_dependency` with the source names they touched.
 

@@ -158,10 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("path", nargs="+", help="source names of the mapping path")
     cmd.add_argument("--materialize", action="store_true",
                      help="store the result as a Composed mapping")
-    cmd.add_argument("--engine", default="auto",
-                     choices=("auto", "sql", "memory"),
-                     help="execution engine (auto pushes named combiners"
-                          " down to SQL)")
 
     cmd = commands.add_parser("path", help="find mapping paths between sources")
     cmd.add_argument("source")
@@ -171,10 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd = commands.add_parser("subsume", help="derive the Subsumed mapping")
     cmd.add_argument("source", help="a Network source with IS_A structure")
-    cmd.add_argument("--engine", default="auto",
-                     choices=("auto", "sql", "memory"),
-                     help="execution engine (auto computes the closure"
-                          " inside SQLite)")
 
     cmd = commands.add_parser("object", help="show all annotations of an object")
     cmd.add_argument("source")
@@ -506,9 +498,7 @@ def _cmd_map(genmapper: GenMapper, args: argparse.Namespace) -> int:
 
 
 def _cmd_compose(genmapper: GenMapper, args: argparse.Namespace) -> int:
-    mapping = genmapper.compose(
-        args.path, materialize=args.materialize, engine=args.engine
-    )
+    mapping = genmapper.compose(args.path, materialize=args.materialize)
     print(mapping.describe())
     if args.materialize:
         print(f"materialized as Composed: {mapping.source} ↔ {mapping.target}")
@@ -530,7 +520,7 @@ def _cmd_path(genmapper: GenMapper, args: argparse.Namespace) -> int:
 
 
 def _cmd_subsume(genmapper: GenMapper, args: argparse.Namespace) -> int:
-    inserted = genmapper.derive_subsumed(args.source, engine=args.engine)
+    inserted = genmapper.derive_subsumed(args.source)
     print(f"derived Subsumed({args.source}): {inserted} associations stored")
     return 0
 

@@ -47,7 +47,12 @@ from repro.gam.repository import GamRepository
 from repro.importer.importer import ImportReport
 from repro.importer.pipeline import IntegrationPipeline
 from repro.obs import annotate_event, event_scope
-from repro.operators.compose import EvidenceCombiner, compose, product_evidence
+from repro.operators.compose import (
+    EvidenceCombiner,
+    combiner_name,
+    compose,
+    product_evidence,
+)
 from repro.operators.generate_view import TargetSpec, generate_view
 from repro.operators.mapping import Mapping
 from repro.operators.simple import map_
@@ -68,18 +73,6 @@ from repro.taxonomy.dag import Taxonomy
 
 #: Accepted target argument forms for :meth:`GenMapper.generate_view`.
 TargetLike = "str | TargetSpec | tuple"
-
-
-def _combiner_label(combiner: EvidenceCombiner) -> str | None:
-    """Cache-key label of a combiner; None for ad-hoc callables (their
-    results are never cached because the callable has no stable identity)."""
-    if combiner is product_evidence:
-        return "product"
-    from repro.operators.compose import min_evidence
-
-    if combiner is min_evidence:
-        return "min"
-    return None
 
 
 class GenMapper:
@@ -188,9 +181,11 @@ class GenMapper:
     ) -> list[ImportReport]:
         """Import every source listed in a directory's manifest.
 
-        ``workers`` > 1 integrates sources concurrently over the
-        connection pool; ``resume=True`` skips sources already
-        checkpointed from an earlier (possibly killed) run (see
+        ``workers`` > 1 parses the files after the first in that many
+        worker processes while one writer imports every file in manifest
+        order, so the result equals a serial import; ``resume=True``
+        skips sources already checkpointed from an earlier (possibly
+        killed) run (see
         :meth:`repro.importer.pipeline.IntegrationPipeline.integrate_directory`).
         """
         reports = self.pipeline.integrate_directory(
@@ -281,10 +276,11 @@ class GenMapper:
         explicit ``via`` intermediates) and composes along it.  Results
         are served from the generation-aware mapping cache when one is
         enabled (``docs/performance.md``); any write to the database
-        invalidates them transparently.
+        invalidates them transparently.  ``combiner`` must be
+        :func:`product_evidence` or :func:`min_evidence`.
         """
-        label = _combiner_label(combiner)
-        if self.cache is None or label is None:
+        label = combiner_name(combiner)
+        if self.cache is None:
             return self._resilient(
                 lambda: self._map_uncached(source, target, via, combiner)
             )
@@ -319,39 +315,32 @@ class GenMapper:
         path: Sequence[str],
         combiner: EvidenceCombiner = product_evidence,
         materialize: bool = False,
-        engine: str = "auto",
     ) -> Mapping:
         """``Compose`` along an explicit mapping path.
 
-        Non-materializing composes with a named combiner are cached by
-        path; ``materialize=True`` always executes (it must write) and its
-        write invalidates cached results for the path's endpoint sources
-        (scoped by the generation vector).  ``engine`` selects the
-        execution strategy (``auto``/``sql``/``memory``, see
-        :func:`repro.derived.composed.derive_composed`).
+        Non-materializing composes are cached by path and combiner;
+        ``materialize=True`` always executes (it must write) and its write
+        invalidates cached results for the path's endpoint sources (scoped
+        by the generation vector).  See
+        :func:`repro.derived.composed.derive_composed`.
         """
-        label = _combiner_label(combiner)
-        if self.cache is not None and label is not None and not materialize:
-            key = MappingCache.composed_key(path, label)
-            return self._resilient(
-                lambda: self.cache.get_or_load(
-                    key,
-                    lambda: derive_composed(
-                        self.repository,
-                        path,
-                        combiner,
-                        materialize=False,
-                        engine=engine,
-                    ),
-                ),
-                key,
+        if self.cache is None or materialize:
+            mapping = derive_composed(
+                self.repository, path, combiner, materialize=materialize
             )
-        mapping = derive_composed(
-            self.repository, path, combiner, materialize=materialize, engine=engine
+            if materialize:
+                self._invalidate_graph()
+            return mapping
+        key = MappingCache.composed_key(path, combiner_name(combiner))
+        return self._resilient(
+            lambda: self.cache.get_or_load(
+                key,
+                lambda: derive_composed(
+                    self.repository, path, combiner, materialize=False
+                ),
+            ),
+            key,
         )
-        if materialize:
-            self._invalidate_graph()
-        return mapping
 
     def generate_view(
         self,
@@ -359,7 +348,6 @@ class GenMapper:
         targets: Sequence[TargetLike],
         source_objects: Iterable[str] | None = None,
         combine: CombineMethod | str = CombineMethod.OR,
-        combiner: EvidenceCombiner = product_evidence,
         engine: str = "memory",
     ) -> AnnotationView:
         """``GenerateView`` (Figure 5) with automatic mapping resolution.
@@ -370,10 +358,11 @@ class GenMapper:
         entire source, matching the interactive interface's default.
 
         ``engine`` picks the execution strategy: ``"memory"`` (default)
-        joins loaded mappings in Python; ``"sql"`` compiles the whole view
-        — including Compose paths and negation — into one SQL statement
-        (see :mod:`repro.operators.sql_engine`).  Results are identical;
-        the SQL engine ignores ``combiner`` since views carry no evidence.
+        probes the loaded mappings per uploaded accession; ``"sql"``
+        compiles the whole view — including Compose paths and negation —
+        into one SQL statement (see :mod:`repro.operators.sql_engine`),
+        the reference the benchmark checks served views against.  Results
+        are identical.
 
         Views are not cached: the in-memory engine joins each request's
         upload over the (cached) mappings.  Each mapping is fetched under
@@ -397,7 +386,7 @@ class GenMapper:
             )
 
         def resolver(view_source: str, spec: TargetSpec) -> Mapping:
-            return self.map(view_source, spec.name, via=spec.via or None, combiner=combiner)
+            return self.map(view_source, spec.name, via=spec.via or None)
 
         return generate_view(resolver, source, source_objects, specs, combine)
 
@@ -416,10 +405,10 @@ class GenMapper:
 
     # -- derived relationships -------------------------------------------------------
 
-    def derive_subsumed(self, source: str, engine: str = "auto") -> int:
+    def derive_subsumed(self, source: str) -> int:
         """Materialize the Subsumed mapping of a taxonomy source."""
         with event_scope("derivation", operation="derive_subsumed", source=source):
-            __, inserted = derive_subsumed(self.repository, source, engine=engine)
+            __, inserted = derive_subsumed(self.repository, source)
             annotate_event(rows=inserted)
         self._invalidate_graph()
         return inserted
@@ -429,7 +418,6 @@ class GenMapper:
         path: Sequence[str],
         combiner: EvidenceCombiner = product_evidence,
         watermark: "int | dict[str, int]" = 0,
-        engine: str = "auto",
     ) -> RefreshReport:
         """Incrementally maintain a materialized Composed mapping.
 
@@ -444,7 +432,7 @@ class GenMapper:
             path=" -> ".join(str(step) for step in path),
         ):
             report = refresh_composed(
-                self.repository, path, combiner, watermark=watermark, engine=engine
+                self.repository, path, combiner, watermark=watermark
             )
             annotate_event(rows=report.changed, delta_edges=report.delta_edges)
         self._invalidate_graph()
@@ -454,16 +442,13 @@ class GenMapper:
         self,
         source: str,
         watermark: "int | dict[str, int]" = 0,
-        engine: str = "auto",
     ) -> RefreshReport:
         """Incrementally maintain a materialized Subsumed mapping from
         the IS_A edges imported since ``watermark``."""
         with event_scope(
             "derivation", operation="refresh_subsumed", source=source
         ):
-            report = refresh_subsumed(
-                self.repository, source, watermark=watermark, engine=engine
-            )
+            report = refresh_subsumed(self.repository, source, watermark=watermark)
             annotate_event(rows=report.changed, delta_edges=report.delta_edges)
         self._invalidate_graph()
         return report

@@ -15,9 +15,10 @@ from repro.gam.records import Source, SourceRel
 from repro.gam.repository import GamRepository
 from repro.operators.compose import (
     EvidenceCombiner,
-    _sql_combiner_name,
+    combiner_name,
     compose,
     materialization_rows,
+    materialize_composed_sql,
     product_evidence,
 )
 from repro.operators.mapping import Mapping
@@ -47,49 +48,27 @@ def derive_composed(
     path: Sequence["str | Source"],
     combiner: EvidenceCombiner = product_evidence,
     materialize: bool = True,
-    engine: str = "auto",
 ) -> Mapping:
     """Compose along ``path`` and optionally materialize the result.
 
     The classic example: ``derive_composed(repo, ["Unigene", "LocusLink",
-    "GO"])`` derives and stores Unigene ↔ GO.
-
-    ``engine`` selects the materialization strategy (mirroring
-    :func:`repro.operators.compose.compose`): with a named combiner the
-    derived associations are written by one ``INSERT ... SELECT`` chain
-    join inside SQLite (:func:`~repro.operators.sql_engine.materialize_composed_sql`)
-    instead of round-tripping accession lists through Python;
-    ``engine="memory"`` forces the seed's Python path and ``engine="sql"``
-    raises ``ValueError`` for ad-hoc combiners.  Both engines store
-    identical associations.
+    "GO"])`` derives and stores Unigene ↔ GO.  The derived associations
+    are written by one ``INSERT ... SELECT`` chain join inside SQLite
+    (:func:`~repro.operators.compose.materialize_composed_sql`) instead of
+    round-tripping accession lists through Python.
     """
-    if engine not in ("auto", "sql", "memory"):
-        raise ValueError(f"unknown derive engine {engine!r}")
-    sql_combiner = _sql_combiner_name(combiner)
-    if engine == "sql" and sql_combiner is None:
-        raise ValueError(
-            "derive engine 'sql' requires a named combiner"
-            " (product_evidence or min_evidence)"
-        )
-    use_sql = sql_combiner is not None and engine in ("auto", "sql")
-    mapping = compose(
-        repository, path, combiner, engine="sql" if use_sql else "memory"
-    )
+    mapping = compose(repository, path, combiner)
     if materialize and len(path) > 2:
-        if use_sql:
-            from repro.operators.sql_engine import materialize_composed_sql
-
-            names = [
-                step.name if isinstance(step, Source) else str(step)
-                for step in path
-            ]
-            with repository.db.write_scope(
-                names[0], names[-1]
-            ), repository.db.transaction():
-                rel = repository.ensure_source_rel(
-                    names[0], names[-1], RelType.COMPOSED
-                )
-                materialize_composed_sql(repository, names, sql_combiner, rel)
-        else:
-            materialize_mapping(repository, mapping, RelType.COMPOSED)
+        names = [
+            step.name if isinstance(step, Source) else str(step) for step in path
+        ]
+        with repository.db.write_scope(
+            names[0], names[-1]
+        ), repository.db.transaction():
+            rel = repository.ensure_source_rel(
+                names[0], names[-1], RelType.COMPOSED
+            )
+            materialize_composed_sql(
+                repository, names, combiner_name(combiner), rel
+            )
     return mapping

@@ -58,52 +58,26 @@ def subsumed_mapping(
 
 
 def derive_subsumed(
-    repository: GamRepository, source: "str | Source", engine: str = "auto"
+    repository: GamRepository, source: "str | Source"
 ) -> tuple[SourceRel, int]:
     """Materialize the Subsumed relationship of a source in the database.
 
     Returns the source relationship and the number of associations stored.
     Re-running is idempotent (associations are deduplicated by key).
 
-    With ``engine="auto"`` or ``"sql"`` the transitive closure is computed
-    and written by one recursive-CTE ``INSERT ... SELECT`` inside SQLite —
-    the IS_A edges never round-trip through a Python
-    :class:`~repro.taxonomy.dag.Taxonomy`; ``engine="memory"`` forces the
-    seed's Python path.  Both engines store identical associations and
-    both reject cyclic IS_A structures with
+    The transitive closure is computed and written by one recursive-CTE
+    ``INSERT ... SELECT`` inside SQLite; the IS_A edges never round-trip
+    through a Python :class:`~repro.taxonomy.dag.Taxonomy`.  IS_A
+    associations are stored child→parent (``object1_id`` is the child);
+    Subsumed pairs run ancestor→descendant.  The seed base is every
+    reversed IS_A edge and the recursion extends each pair one more IS_A
+    level downward.  ``UNION`` (not ``UNION ALL``) deduplicates visited
+    pairs, so the recursion terminates even on cyclic input — a cycle
+    instead shows up as a self-subsumed term, which is detected afterwards
+    inside the same transaction and rolls everything back with
     :class:`~repro.gam.errors.GamIntegrityError`.
     """
-    if engine not in ("auto", "sql", "memory"):
-        raise ValueError(f"unknown derive engine {engine!r}")
     src = repository.get_source(source)
-    if engine in ("auto", "sql"):
-        return _derive_subsumed_sql(repository, src)
-    mapping = subsumed_mapping(repository, src)
-    with repository.db.transaction():
-        rel = repository.ensure_source_rel(src, src, RelType.SUBSUMED)
-        inserted = repository.add_associations(
-            rel,
-            [
-                (assoc.source_accession, assoc.target_accession, assoc.evidence)
-                for assoc in mapping
-            ],
-        )
-    return rel, inserted
-
-
-def _derive_subsumed_sql(
-    repository: GamRepository, src: Source
-) -> tuple[SourceRel, int]:
-    """The recursive-CTE pushdown behind :func:`derive_subsumed`.
-
-    IS_A associations are stored child→parent (``object1_id`` is the
-    child); Subsumed pairs run ancestor→descendant.  The seed base is
-    every reversed IS_A edge and the recursion extends each pair one more
-    IS_A level downward.  ``UNION`` (not ``UNION ALL``) deduplicates
-    visited pairs, so the recursion terminates even on cyclic input — a
-    cycle instead shows up as a self-subsumed term, which is detected
-    afterwards inside the same transaction and rolls everything back.
-    """
     is_a_rels = repository.find_source_rels(src, src, RelType.IS_A)
     if not is_a_rels:
         raise UnknownMappingError(src.name, src.name, "no IS_A structure stored")
@@ -129,17 +103,26 @@ def _derive_subsumed_sql(
             sql, (*rel_ids, *rel_ids, rel.src_rel_id)
         )
         inserted = max(cursor.rowcount, 0)
-        cyclic = repository.db.execute_read(
-            "SELECT 1 FROM object_rel"
-            " WHERE src_rel_id = ? AND object1_id = object2_id LIMIT 1",
-            (rel.src_rel_id,),
-        ).fetchone()
-        if cyclic is not None:
-            raise GamIntegrityError(
-                f"IS_A structure of {src.name!r} contains a cycle"
-                " (self-subsumption detected)"
-            )
+        reject_self_subsumption(repository, src, rel)
     return rel, inserted
+
+
+def reject_self_subsumption(
+    repository: GamRepository, src: Source, rel: SourceRel
+) -> None:
+    """Raise :class:`GamIntegrityError` if ``rel`` subsumes a term under
+    itself, the trace an IS_A cycle leaves in the closure; called inside
+    the writing transaction, so the raise rolls the closure back."""
+    cyclic = repository.db.execute_read(
+        "SELECT 1 FROM object_rel"
+        " WHERE src_rel_id = ? AND object1_id = object2_id LIMIT 1",
+        (rel.src_rel_id,),
+    ).fetchone()
+    if cyclic is not None:
+        raise GamIntegrityError(
+            f"IS_A structure of {src.name!r} contains a cycle"
+            " (self-subsumption detected)"
+        )
 
 
 def rollup_mapping(

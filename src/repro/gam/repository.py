@@ -527,16 +527,32 @@ class GamRepository:
         rows = self.db.execute(sql, tuple(params)).fetchall()
         return [self._source_rel_from_row(row) for row in rows]
 
-    def all_mappings(self) -> list[SourceRel]:
-        """Every mapping-type source relationship in the database."""
+    def sources_and_mappings(self) -> tuple[list[Source], list[SourceRel]]:
+        """Every source (by id) and every mapping-type relationship (by id).
+
+        One statement reads both — each source joined to the mappings it
+        starts — so every mapping's endpoints are among the sources
+        returned, even while another connection commits new sources and
+        mappings.
+        """
         types = tuple(sorted(t.value for t in MAPPING_TYPES))
         placeholders = ", ".join("?" for _ in types)
         rows = self.db.execute(
-            f"SELECT * FROM source_rel WHERE type IN ({placeholders})"
-            " ORDER BY src_rel_id",
+            "SELECT s.*, r.src_rel_id, r.source1_id, r.source2_id, r.type"
+            " FROM source s LEFT JOIN source_rel r"
+            f" ON r.source1_id = s.source_id AND r.type IN ({placeholders})"
+            " ORDER BY s.source_id",
             types,
         ).fetchall()
-        return [self._source_rel_from_row(row) for row in rows]
+        sources: dict[int, Source] = {}
+        mappings = []
+        for row in rows:
+            if row["source_id"] not in sources:
+                sources[row["source_id"]] = self._source_from_row(row)
+            if row["src_rel_id"] is not None:
+                mappings.append(self._source_rel_from_row(row))
+        mappings.sort(key=lambda rel: rel.src_rel_id)
+        return list(sources.values()), mappings
 
     @staticmethod
     def _source_rel_from_row(row: object) -> SourceRel:

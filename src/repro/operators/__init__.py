@@ -2,8 +2,6 @@
 
 from repro.operators.compose import (
     compose,
-    compose_mappings,
-    compose_pair,
     materialization_rows,
     min_evidence,
     product_evidence,
@@ -31,8 +29,6 @@ __all__ = [
     "MappingResolver",
     "TargetSpec",
     "compose",
-    "compose_mappings",
-    "compose_pair",
     "difference",
     "domain",
     "evaluate_matching",

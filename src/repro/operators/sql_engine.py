@@ -2,237 +2,32 @@
 query over the four GAM tables.
 
 Paper Section 4.2: "the operations are described declaratively and leave
-room for optimizations in the implementation".  The default engine
-(:mod:`repro.operators.generate_view`) loads mappings into memory and
-joins there; this engine instead compiles the whole view — including
-multi-hop ``Compose`` paths, range restrictions and Figure 5 negation —
-into a single CTE-based SQL statement that the relational backend
-executes, never materializing intermediate mappings in Python.
+room for optimizations in the implementation".  Requests are served by
+the probe engine (:mod:`repro.operators.generate_view`), which joins each
+upload over the loaded mappings; this engine instead compiles the whole
+view — including multi-hop ``Compose`` paths, range restrictions and
+Figure 5 negation — into a single CTE-based SQL statement that the
+relational backend executes, never materializing intermediate mappings
+in Python.
 
 Semantics are identical by construction and verified by tests that compare
-both engines over randomized universes; the ``bench_sql_engine`` ablation
-measures when pushing the join into SQL wins.
-
-The same pushdown idea accelerates ``Compose``: :func:`compose_sql` runs a
-whole mapping path — the pairwise joins *and* the best-evidence
-aggregation — as one set-based SQL statement over ``object_rel``, instead
-of the Python dict loops in :mod:`repro.operators.compose`.  It applies
-whenever every leg of the path is a stored mapping and the evidence
-combiner is one of the two named policies (``product``, ``min``); ad-hoc
-combiners and derived in-memory legs fall back to the Python join.
+both engines over randomized universes; the benchmark uses this engine as
+its reference for served views, and the ``bench_sql_engine`` ablation
+measures both.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from repro.cache.deps import record_dependency
-from repro.gam.enums import CombineMethod, RelType
-from repro.gam.errors import UnknownMappingError, ViewGenerationError
-from repro.gam.records import SourceRel, shared_associations
+from repro.gam.enums import CombineMethod
+from repro.gam.errors import ViewGenerationError
+from repro.gam.records import SourceRel
 from repro.gam.repository import GamRepository
 from repro.obs import get_tracer
+from repro.operators.compose import resolve_hop_rel
 from repro.operators.generate_view import TargetSpec
-from repro.operators.mapping import Mapping
 from repro.operators.views import AnnotationView, row_sort_key
-
-
-def resolve_hop_rel(
-    repository: GamRepository, step_source: str, step_target: str
-) -> tuple[SourceRel, bool]:
-    """The stored mapping of one path hop and whether it is forward-stored.
-
-    Prefers imported annotation mappings over derived ones, matching
-    :meth:`GamRepository.fetch_mapping_associations`.
-    """
-    # Scoped cache invalidation: the compiled plan (and anything cached
-    # from it) depends on both hop endpoints.
-    record_dependency(step_source, step_target)
-    rels = repository.mappings_between(step_source, step_target)
-    if not rels:
-        raise UnknownMappingError(step_source, step_target)
-    rels.sort(key=lambda rel: (rel.type.is_derived, rel.src_rel_id))
-    rel = rels[0]
-    source1 = repository.get_source(rel.source1_id)
-    forward = source1.name == step_source
-    return rel, forward
-
-
-class _ChainJoinPlan:
-    """The shared skeleton of a pushed-down mapping-path chain join.
-
-    Built once per statement by :func:`_chain_join_plan` and rendered two
-    ways: as a SELECT returning accession pairs (:func:`compose_sql`) and
-    as an ``INSERT ... SELECT`` writing object-id pairs straight into
-    ``object_rel`` (:func:`materialize_composed_sql`).
-    """
-
-    __slots__ = (
-        "first_rel",
-        "start_expr",
-        "end_expr",
-        "joins",
-        "join_parameters",
-        "chain_evidence",
-    )
-
-    def __init__(self, first_rel, start_expr, end_expr, joins,
-                 join_parameters, chain_evidence) -> None:
-        self.first_rel = first_rel
-        self.start_expr = start_expr
-        self.end_expr = end_expr
-        self.joins = joins
-        self.join_parameters = join_parameters
-        self.chain_evidence = chain_evidence
-
-
-def _chain_join_plan(
-    repository: GamRepository, steps: Sequence[str], combiner: str
-) -> _ChainJoinPlan:
-    """Resolve a mapping path into the chain-join FROM clause.
-
-    Hop 1 anchors the FROM clause; its rel id binds in the WHERE, so the
-    JOIN parameters (hops 2..n) come first to match the statement text.
-    """
-    if combiner not in ("product", "min"):
-        raise ValueError(f"no SQL pushdown for combiner {combiner!r}")
-    first_rel, first_forward = resolve_hop_rel(repository, steps[0], steps[1])
-    start_column = "object1_id" if first_forward else "object2_id"
-    prev_end = "object2_id" if first_forward else "object1_id"
-    joins = ["object_rel r1"]
-    join_parameters: list = []
-    evidence_terms = ["r1.evidence"]
-    for hop_index, (step_source, step_target) in enumerate(
-        zip(steps[1:], steps[2:]), start=2
-    ):
-        rel, forward = resolve_hop_rel(repository, step_source, step_target)
-        this = f"r{hop_index}"
-        near = "object1_id" if forward else "object2_id"
-        far = "object2_id" if forward else "object1_id"
-        joins.append(
-            f"JOIN object_rel {this} ON {this}.{near} ="
-            f" r{hop_index - 1}.{prev_end}"
-            f" AND {this}.src_rel_id = ?"
-        )
-        join_parameters.append(rel.src_rel_id)
-        evidence_terms.append(f"{this}.evidence")
-        prev_end = far
-    if combiner == "product":
-        chain_evidence = " * ".join(evidence_terms)
-    else:
-        chain_evidence = (
-            evidence_terms[0]
-            if len(evidence_terms) == 1
-            else f"min({', '.join(evidence_terms)})"
-        )
-    last = f"r{len(steps) - 1}"
-    return _ChainJoinPlan(
-        first_rel=first_rel,
-        start_expr=f"r1.{start_column}",
-        end_expr=f"{last}.{prev_end}",
-        joins=joins,
-        join_parameters=join_parameters,
-        chain_evidence=chain_evidence,
-    )
-
-
-def compose_sql(
-    repository: GamRepository,
-    path: Sequence[str],
-    combiner: str = "product",
-) -> Mapping:
-    """``Compose`` along a stored-mapping path as one SQL statement.
-
-    The chain join runs inside SQLite on ``object_rel``'s covering
-    indices; per endpoint pair the strongest chain wins, with chain
-    evidence combined by ``combiner``:
-
-    * ``"product"`` — independent-plausibility (evidence multiplied);
-    * ``"min"`` — weakest link.
-
-    Folding :func:`repro.operators.compose.compose_pair` pairwise and
-    taking one max over full chains agree because both combiners are
-    monotonic in each argument — verified against the Python engine by
-    ``tests/test_sql_engine.py``.  Raises
-    :class:`~repro.gam.errors.UnknownMappingError` when a leg has no
-    stored mapping and ``ValueError`` for unknown combiners (callers then
-    fall back to the in-memory path).
-    """
-    if len(path) < 2:
-        raise ValueError("a mapping path needs at least two sources")
-    steps = [str(step) for step in path]
-    source = repository.get_source(steps[0])
-    target = repository.get_source(steps[-1])
-    with get_tracer().span(
-        "operator.compose",
-        path=" -> ".join(steps),
-        hops=len(steps) - 1,
-        engine="sql",
-    ) as span:
-        plan = _chain_join_plan(repository, steps, combiner)
-        # One row per endpoint pair, already in Mapping.build's order
-        # (SQLite's BINARY collation orders UTF-8 text by code point).
-        sql = (
-            "SELECT so.accession AS src, to_.accession AS tgt,"
-            f" max({plan.chain_evidence}) AS evidence FROM "
-            + "\n  ".join(plan.joins)
-            + f"\n  JOIN object so ON so.object_id = {plan.start_expr}"
-            + f"\n  JOIN object to_ ON to_.object_id = {plan.end_expr}"
-            + "\n  WHERE r1.src_rel_id = ?"
-            + "\n  GROUP BY so.accession, to_.accession"
-            + "\n  ORDER BY so.accession, to_.accession"
-        )
-        rows = repository.db.execute_read_iter(
-            sql, (*plan.join_parameters, plan.first_rel.src_rel_id)
-        )
-        rel_type = plan.first_rel.type if len(steps) == 2 else RelType.COMPOSED
-        mapping = Mapping(
-            source.name,
-            target.name,
-            tuple(shared_associations(rows)),
-            rel_type=rel_type,
-        )
-        span.tag(associations=len(mapping))
-    return mapping
-
-
-def materialize_composed_sql(
-    repository: GamRepository,
-    path: Sequence[str],
-    combiner: str,
-    rel: SourceRel,
-) -> int:
-    """Materialize a composed path as one ``INSERT ... SELECT``.
-
-    The same chain join :func:`compose_sql` runs, but grouped on object
-    ids and written straight into ``object_rel`` under ``rel`` — the
-    derived associations never round-trip through Python accession lists.
-    ``INSERT OR IGNORE`` keeps re-materialization idempotent; the returned
-    count comes from the write cursor's ``rowcount`` (only actually
-    inserted rows count), mirroring
-    :meth:`~repro.gam.repository.GamRepository.add_associations`.
-    """
-    if len(path) < 3:
-        raise ValueError("materializing a composed path needs at least one hop")
-    steps = [str(step) for step in path]
-    plan = _chain_join_plan(repository, steps, combiner)
-    sql = (
-        "INSERT OR IGNORE INTO object_rel"
-        " (src_rel_id, object1_id, object2_id, evidence)"
-        f" SELECT ?, {plan.start_expr}, {plan.end_expr},"
-        f" max({plan.chain_evidence}) FROM "
-        + "\n  ".join(plan.joins)
-        + "\n  WHERE r1.src_rel_id = ?"
-        + f"\n  GROUP BY {plan.start_expr}, {plan.end_expr}"
-    )
-    # Scoped write: the materialized rows belong to the path's endpoint
-    # sources — cache entries for unrelated pairs stay warm.
-    with repository.db.write_scope(steps[0], steps[-1]):
-        cursor = repository.db.execute(
-            sql,
-            (rel.src_rel_id, *plan.join_parameters, plan.first_rel.src_rel_id),
-        )
-    return max(cursor.rowcount, 0)
 
 
 class SqlViewEngine:

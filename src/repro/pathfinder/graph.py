@@ -39,11 +39,12 @@ def build_source_graph(repository: GamRepository) -> nx.MultiGraph:
     shortest-path search naturally ignores.
     """
     graph = nx.MultiGraph()
+    sources, mappings = repository.sources_and_mappings()
     sources_by_id = {}
-    for source in repository.list_sources():
+    for source in sources:
         sources_by_id[source.source_id] = source
         graph.add_node(source.name, source=source)
-    for rel in repository.all_mappings():
+    for rel in mappings:
         source1 = sources_by_id[rel.source1_id]
         source2 = sources_by_id[rel.source2_id]
         graph.add_edge(

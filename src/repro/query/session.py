@@ -37,7 +37,6 @@ class QuerySession:
         self._accessions: frozenset[str] | None = None
         self._targets: list[QueryTarget] = []
         self._combine = CombineMethod.AND
-        self._engine = "memory"
         self._timeout: float | None = None
         self._last_view: AnnotationView | None = None
 
@@ -146,13 +145,6 @@ class QuerySession:
         self._combine = CombineMethod.parse(method)
         return self
 
-    def use_engine(self, engine: str) -> "QuerySession":
-        """Pick the view execution engine: ``"memory"`` or ``"sql"``."""
-        if engine not in ("memory", "sql"):
-            raise QuerySpecError(f"unknown view engine {engine!r}")
-        self._engine = engine
-        return self
-
     # -- step 5: execution ------------------------------------------------------------
 
     def spec(self) -> QuerySpec:
@@ -188,7 +180,6 @@ class QuerySession:
         view = run_query(
             self.genmapper,
             spec,
-            engine=self._engine,
             timeout=timeout if timeout is not None else self._timeout,
         )
         self._last_view = view
@@ -271,7 +262,6 @@ def spec_digest_of(spec: QuerySpec) -> str:
 def run_query(
     genmapper: GenMapper,
     spec: QuerySpec,
-    engine: str = "memory",
     timeout: float | None = None,
 ) -> AnnotationView:
     """Execute a query specification on a GenMapper instance.
@@ -285,7 +275,6 @@ def run_query(
         "query.run",
         source=spec.source,
         targets=len(spec.targets),
-        engine=engine,
     ) as span:
         with deadline_scope(timeout), event_stage("query.run"):
             view = genmapper.generate_view(
@@ -293,9 +282,8 @@ def run_query(
                 targets=[target.to_target_spec() for target in spec.targets],
                 source_objects=spec.accessions,
                 combine=spec.combine,
-                engine=engine,
             )
         span.tag(rows=len(view))
-    annotate_event(rows=len(view), engine=engine, query_source=spec.source)
-    get_registry().counter("queries_total", engine=engine).inc()
+    annotate_event(rows=len(view), query_source=spec.source)
+    get_registry().counter("queries_total").inc()
     return view

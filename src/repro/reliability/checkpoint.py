@@ -27,7 +27,7 @@ saved paths — no schema change, and they travel with the database.
 Each checkpoint also stores the **per-table row-id watermarks** observed
 *before* the source was imported (``max(object_id)``,
 ``max(obj_rel_id)``, ``max(src_rel_id)``): rows above a watermark are
-exactly the import's delta, which the incremental maintenance engines
+exactly the import's delta, which the incremental refreshes
 (:mod:`repro.derived.refresh`) feed into delta chain joins and
 delta closures instead of recomputing materialized mappings from
 scratch (``docs/performance.md``).  Checkpoint writes themselves run in

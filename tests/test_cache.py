@@ -25,6 +25,7 @@ from repro.cache.deps import record_dependency
 from repro.core.genmapper import GenMapper
 from repro.gam.database import GamDatabase
 from repro.obs import MetricsRegistry
+from tests import oracle
 from tests.conftest import GO_MINI_OBO, LOCUS_353_RECORD, UNIGENE_MINI
 
 
@@ -215,13 +216,23 @@ class TestGenMapperCaching:
         assert cached_genmapper.compose(path) is not cached
 
     def test_adhoc_combiner_is_never_cached(self, cached_genmapper):
+        """An ad-hoc combiner is refused before any lookup or load."""
+
         def sum_cap(left, right):
             return min(1.0, left + right)
 
-        path = ["Unigene", "LocusLink", "GO"]
-        first = cached_genmapper.compose(path, combiner=sum_cap)
-        second = cached_genmapper.compose(path, combiner=sum_cap)
-        assert first is not second
+        before = cached_genmapper.cache_stats()
+        for call in (
+            lambda: cached_genmapper.compose(
+                ["Unigene", "LocusLink", "GO"], combiner=sum_cap
+            ),
+            lambda: cached_genmapper.map("Unigene", "GO", combiner=sum_cap),
+        ):
+            with pytest.raises(ValueError, match="unsupported evidence combiner"):
+                call()
+        after = cached_genmapper.cache_stats()
+        for counter in ("entries", "hits", "misses"):
+            assert after[counter] == before[counter]
 
     def test_view_key_accepts_one_shot_iterator(self, cached_genmapper):
         """An upload given as a one-shot iterator yields the rows of the
@@ -413,36 +424,24 @@ class TestComposeEngines:
         from repro.operators.compose import compose
 
         path = ["Unigene", "LocusLink", "GO"]
-        sql = compose(gm.repository, path, engine="sql")
-        memory = compose(gm.repository, path, engine="memory")
-        assert sql.pair_set() == memory.pair_set()
-        sql_ev = {
-            (a.source_accession, a.target_accession): a.evidence for a in sql
-        }
-        mem_ev = {
-            (a.source_accession, a.target_accession): a.evidence
-            for a in memory
-        }
-        for pair, evidence in mem_ev.items():
-            assert sql_ev[pair] == pytest.approx(evidence)
+        sql = compose(gm.repository, path)
+        memory = oracle.compose(gm.repository, path)
+        assert sql == memory  # pairs and evidence
 
     def test_sql_and_memory_agree_min(self, gm):
         from repro.operators.compose import compose, min_evidence
 
         path = ["Unigene", "LocusLink", "GO"]
-        sql = compose(gm.repository, path, min_evidence, engine="sql")
-        memory = compose(gm.repository, path, min_evidence, engine="memory")
-        assert sql.pair_set() == memory.pair_set()
+        sql = compose(gm.repository, path, min_evidence)
+        memory = oracle.compose(gm.repository, path, min_evidence)
+        assert sql == memory
 
     def test_sql_engine_rejects_adhoc_combiner(self, gm):
         from repro.operators.compose import compose
 
-        with pytest.raises(ValueError, match="named combiner"):
+        with pytest.raises(ValueError, match="unsupported evidence combiner"):
             compose(
-                gm.repository,
-                ["Unigene", "LocusLink", "GO"],
-                lambda a, b: a * b,
-                engine="sql",
+                gm.repository, ["Unigene", "LocusLink", "GO"], lambda a, b: a * b
             )
 
     def test_two_source_path_returns_stored_mapping(self, gm):

@@ -96,6 +96,8 @@ class TestChaosEquivalence:
                 registry=registry,
             )
             storage_errors: list[BaseException] = []
+            #: Anything else would end a querier thread silently.
+            unexpected: list[BaseException] = []
             import_done = threading.Event()
 
             def importer():
@@ -116,6 +118,9 @@ class TestChaosEquivalence:
                     except sqlite3.Error as exc:  # pragma: no cover
                         storage_errors.append(exc)
                         return
+                    except Exception as exc:  # pragma: no cover
+                        unexpected.append(exc)
+                        return
 
             threads = [threading.Thread(target=importer)]
             threads += [threading.Thread(target=querier) for _ in range(3)]
@@ -125,6 +130,7 @@ class TestChaosEquivalence:
                 thread.join(timeout=120)
             assert import_done.is_set()
             assert not storage_errors, f"storage errors leaked: {storage_errors}"
+            assert not unexpected, f"querier threads died: {unexpected!r}"
             injected = gm.db.fault_injector.fired
             gm.db.fault_injector = None
             assert canonical_snapshot(gm.repository) == clean_snapshot

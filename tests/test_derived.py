@@ -45,13 +45,10 @@ class TestSubsumed:
         __, second = derive_subsumed(paper_genmapper.repository, "GO")
         assert second == 0
 
-    def test_derive_subsumed_round_trips_evidence(
-        self, paper_genmapper, monkeypatch
-    ):
-        # Regression: the in-memory materialization path used to drop each
-        # association's evidence, silently resetting it to the column
-        # default.  Pinned to engine="memory": that is the path flowing
-        # through the monkeypatched subsumed_mapping.
+    def test_derive_subsumed_round_trips_evidence(self, paper_genmapper):
+        # Regression: materializing an in-memory Subsumed mapping used to
+        # drop each association's evidence, silently resetting it to the
+        # column default.
         repository = paper_genmapper.repository
         weighted = Mapping.build(
             "GO", "GO",
@@ -61,11 +58,10 @@ class TestSubsumed:
             ],
             rel_type=RelType.SUBSUMED,
         )
-        monkeypatch.setattr(
-            "repro.derived.subsumed.subsumed_mapping",
-            lambda repo, src: weighted,
+        rel, inserted = materialize_mapping(
+            repository, weighted, RelType.SUBSUMED
         )
-        rel, inserted = derive_subsumed(repository, "GO", engine="memory")
+        assert rel.type is RelType.SUBSUMED
         assert inserted == 2
         stored = {
             (assoc.source_accession, assoc.target_accession): assoc.evidence

@@ -172,7 +172,9 @@ class TestSourceRels:
     def test_structural_rels_are_not_mappings(self, repo, two_sources):
         __, go = two_sources
         repo.ensure_source_rel(go, go, RelType.IS_A)
-        assert repo.all_mappings() == []
+        sources, mappings = repo.sources_and_mappings()
+        assert [source.name for source in sources] == ["LocusLink", "GO"]
+        assert mappings == []
 
 
 class TestAssociations:

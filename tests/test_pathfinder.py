@@ -42,6 +42,45 @@ class TestGraphConstruction:
         assert summary["connected_components"] >= 1
         assert summary["largest_component"] >= 2
 
+    def test_source_committed_mid_build_never_dangles(self, monkeypatch):
+        """A concurrent import that commits a source and its mapping right
+        after the graph's first read of ``source`` never leaves an edge to
+        a source the graph did not read."""
+        from repro.gam.database import GamDatabase
+        from repro.gam.repository import GamRepository
+
+        class Rows(list):
+            def fetchall(self):
+                return list(self)
+
+            def fetchone(self):
+                return self[0] if self else None
+
+        with GamDatabase() as db:
+            repo = GamRepository(db)
+            for name in ("A", "B"):
+                repo.add_source(name, "Gene")
+            repo.ensure_source_rel("A", "B", RelType.FACT)
+            execute = db.execute
+            raced = []
+
+            def execute_then_commit(sql, parameters=()):
+                if raced or "FROM source" not in sql:
+                    return execute(sql, parameters)
+                rows = Rows(execute(sql, parameters).fetchall())
+                raced.append(sql)
+                repo.add_source("C", "Gene")
+                repo.ensure_source_rel("A", "C", RelType.FACT)
+                return rows
+
+            monkeypatch.setattr(db, "execute", execute_then_commit)
+            graph = build_source_graph(repo)
+            assert raced
+            for first, second in graph.edges():
+                assert "source" in graph.nodes[first]
+                assert "source" in graph.nodes[second]
+            assert graph.has_edge("A", "B")
+
 
 class TestShortestPath:
     def test_direct_mapping_is_one_hop(self, graph):

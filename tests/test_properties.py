@@ -10,11 +10,12 @@ from repro.analysis.diffexpr import benjamini_hochberg
 from repro.eav.model import EavRow
 from repro.eav.store import EavDataset
 from repro.gam.enums import CombineMethod
-from repro.operators.compose import compose_pair, min_evidence
+from repro.operators.compose import min_evidence
 from repro.operators.generate_view import TargetSpec, generate_view
 from repro.operators.mapping import Mapping
 from repro.operators.set_ops import difference, intersection, union
 from repro.taxonomy.dag import Taxonomy
+from tests.oracle import compose_pair
 from tests.test_generate_view import make_resolver, reference_generate_view
 
 # -- strategies ---------------------------------------------------------------

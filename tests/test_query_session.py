@@ -151,17 +151,7 @@ class TestEngineChoice:
             .combine_with("AND")
             .run()
         )
-        sql_view = (
-            QuerySession(paper_genmapper)
-            .select_source("LocusLink")
-            .add_target("Hugo")
-            .add_target("GO")
-            .combine_with("AND")
-            .use_engine("sql")
-            .run()
+        sql_view = paper_genmapper.generate_view(
+            "LocusLink", ["Hugo", "GO"], combine="AND", engine="sql"
         )
         assert set(sql_view.rows) == set(memory_view.rows)
-
-    def test_unknown_engine_rejected(self, paper_genmapper):
-        with pytest.raises(QuerySpecError, match="engine"):
-            QuerySession(paper_genmapper).use_engine("quantum")

