@@ -90,7 +90,6 @@ def _operator_phase(gm, results: dict) -> None:
 def _incremental_phase(gm, scale: float, seed: int, results: dict) -> None:
     """Import a delta, refresh incrementally, compare with full rederive."""
     from repro.datagen.scale import append_delta, append_taxonomy_delta
-    from repro.gam.enums import RelType
 
     repo, db = gm.repository, gm.db
     path = ["Gene", "Term", "S00"]

@@ -128,38 +128,44 @@ def generate_view(
 
 def _sub_mapping(
     mapping: Mapping, relevant: Sequence[str], spec: TargetSpec
-) -> dict[str, list[str | None]]:
-    """The per-target join partner lists: mi of Figure 5, keyed by S.
+) -> dict[str, tuple[str | None, ...]]:
+    """The per-target join partners: mi of Figure 5, keyed by S.
 
-    Each relevant object probes the mapping's memoized per-source
-    grouping once, so the cost follows the upload, not the mapping.
+    Each relevant object probes the mapping's memoized partner index
+    once, so the cost follows the upload, not the mapping.  The index's
+    tuples are already distinct and sorted; a restrict set filters them
+    in order.
     """
-    grouped = mapping._grouped()
+    index = mapping.partner_index()
     restrict = spec.restrict
-    partners: dict[str, list[str | None]] = {}
+    partners: dict[str, tuple[str | None, ...]] = {}
     for obj in relevant:
-        targets = {assoc.target_accession for assoc in grouped.get(obj, ())}
+        targets = index.get(obj, ())
         # mi = RestrictRange(RestrictDomain(Mi, s), ti), for this object
-        hits = targets if restrict is None else targets.intersection(restrict)
+        hits = (
+            targets
+            if restrict is None
+            else tuple(target for target in targets if target in restrict)
+        )
         if not spec.negated:
             if hits:
-                partners[obj] = sorted(hits)
+                partners[obj] = hits
         elif not hits:
             # obj is in si' = s \ Domain(mi): mi' = RestrictDomain(Mi, si')
             # right outer join si' keeps it, as NULL when it has no partner.
-            partners[obj] = sorted(targets) or [None]
+            partners[obj] = targets or (None,)
     return partners
 
 
 def _join(
     view_rows: list[tuple],
-    sub_mapping: dict[str, list[str | None]],
+    sub_mapping: dict[str, tuple[str | None, ...]],
     combine: CombineMethod,
 ) -> list[tuple]:
     """V = V inner/left-outer join mi on S."""
     joined: list[tuple] = []
     for row in view_rows:
-        partners = sub_mapping.get(row[0], [])
+        partners = sub_mapping.get(row[0], ())
         if partners:
             joined.extend(row + (partner,) for partner in partners)
         elif combine == CombineMethod.OR:

@@ -8,11 +8,11 @@ mirroring Table 2's declarative definitions.
 
 Mappings are immutable: every operation returns a new mapping.  That
 immutability is what makes the derived access structures safe to memoize:
-:meth:`Mapping.pair_set` and the per-source grouping behind
-:meth:`Mapping.as_dict`/:meth:`Mapping.targets_of` are computed once per
-instance and cached on the (frozen) dataclass, so membership tests and
-per-object lookups (GenerateView probes the grouping once per uploaded
-object) are O(1) per probe instead of O(n) per call.
+:meth:`Mapping.pair_set` and the per-source partner index behind
+:meth:`Mapping.targets_of` are computed once per instance and cached on
+the (frozen) dataclass, so membership tests and per-object lookups
+(GenerateView probes the partner index once per uploaded object) are
+O(1) per probe instead of O(n) per call.
 """
 
 from __future__ import annotations
@@ -137,38 +137,37 @@ class Mapping:
             object.__setattr__(self, "_pair_set", cached)
         return cached
 
-    def _grouped(self) -> dict[str, tuple[Association, ...]]:
-        """Memoized source accession -> associations grouping.
+    def partner_index(self) -> dict[str, tuple[str, ...]]:
+        """Memoized source accession -> its distinct target accessions,
+        sorted whatever order the associations were loaded in.
 
-        The groups are tuples: a cached mapping keeps its grouping for
-        life, and tuples take about two thirds of the memory of lists.
+        The index is built whole and then published with one attribute
+        assignment: two threads may both build it, but neither ever sees
+        a partial index.  Treat the result as read-only.
         """
-        cached = self.__dict__.get("_grouped_by_source")
+        cached = self.__dict__.get("_partner_index")
         if cached is None:
-            grouped: dict[str, list[Association]] = defaultdict(list)
+            grouped: dict[str, list[str]] = defaultdict(list)
             for assoc in self.associations:
-                grouped[assoc.source_accession].append(assoc)
-            cached = {source: tuple(group) for source, group in grouped.items()}
-            object.__setattr__(self, "_grouped_by_source", cached)
+                grouped[assoc.source_accession].append(assoc.target_accession)
+            cached = {
+                source: tuple(sorted(set(targets)))
+                for source, targets in grouped.items()
+            }
+            object.__setattr__(self, "_partner_index", cached)
         return cached
 
     def targets_of(self, source_accession: str) -> list[str]:
-        """Target accessions associated with one source object, sorted."""
-        return sorted(
-            assoc.target_accession
-            for assoc in self._grouped().get(source_accession, ())
-        )
+        """Distinct target accessions associated with one source object,
+        sorted."""
+        return list(self.partner_index().get(source_accession, ()))
 
     def as_dict(self) -> dict[str, list[Association]]:
-        """source accession -> its associations (insertion order).
-
-        The outer dict and its lists are fresh copies; mutating them does
-        not corrupt the memoized grouping.
-        """
-        return {
-            source: list(associations)
-            for source, associations in self._grouped().items()
-        }
+        """source accession -> its associations (insertion order)."""
+        grouped: dict[str, list[Association]] = defaultdict(list)
+        for assoc in self.associations:
+            grouped[assoc.source_accession].append(assoc)
+        return dict(grouped)
 
     def filter_evidence(self, threshold: float) -> "Mapping":
         """Keep associations with evidence >= threshold."""

@@ -832,8 +832,7 @@ def _route_post(
         "rows": None,
         "row_count": len(view),
     }
-    rows = (list(row) for row in view.rows)
-    return 200, StreamJson(payload, "rows", rows, row_count_hint=len(view))
+    return 200, StreamJson(payload, "rows", view.rows, row_count_hint=len(view))
 
 
 def _explain_cache(genmapper: GenMapper, spec: QuerySpec) -> dict:

@@ -2,10 +2,11 @@
 
 :class:`StreamJson` carries a response as a small envelope dict plus
 one *streamed field* (the row array) and serializes it incrementally:
-rows are encoded one at a time and coalesced into bounded chunks, so
-serialization memory is O(chunk) regardless of the row count.  The edge
-sends the chunks as they come (streamed) or joins them into one body
-with a ``Content-Length`` (buffered); one encoder renders both.
+rows are encoded one at a time, flat ones in small batches, and
+coalesced into bounded chunks, so serialization memory is O(chunk)
+regardless of the row count.  The edge sends the chunks as they come
+(streamed) or joins them into one body with a ``Content-Length``
+(buffered); one encoder renders both.
 
 The encoder is **byte-identical** to ``json.dumps(payload, indent=2)``
 over the same payload with its rows in a list — asserted by the edge
@@ -14,18 +15,35 @@ bytes in either mode (``docs/http_api.md``).
 
 With ``indent`` set, ``json.dumps`` runs CPython's pure-Python encoder.
 Flat rows of scalars — every view row and every ``/map`` row — skip it:
-their cells go through json's C string encoder one at a time.
+json's C encoder renders :data:`FLAT_BATCH_ROWS` of them at a time with
+the indented layout's cell separator, and only the brackets at the row
+boundaries are laid out again.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Iterable, Iterator
-from json.encoder import encode_basestring_ascii
+from itertools import chain, islice
 
 #: Target size of one yielded body chunk (bytes of UTF-8 text).
 DEFAULT_CHUNK_BYTES = 32 * 1024
+
+#: Flat rows encoded per call of the C encoder.
+FLAT_BATCH_ROWS = 256
+
+#: Exact types of a flat row and of the cells it may hold.  Subclasses
+#: (an ``IntEnum``, a ``str`` subclass) are left to ``json.dumps``.
+_FLAT_ROW_TYPES = frozenset({list, tuple})
+_FLAT_CELL_TYPES = frozenset({str, type(None), bool, int, float})
+
+#: Renders a list of flat rows on one line except that every separator,
+#: between rows and between cells alike, is the cell separator of a row
+#: at nesting level 2.  With ``indent`` unset, ``encode`` runs json's C
+#: encoder (``c_make_encoder``) where CPython has it.
+_FLAT_ROWS_ENCODER = json.JSONEncoder(
+    check_circular=False, separators=(",\n      ", ": ")
+)
 
 
 def _nested(value: object, level: int) -> str:
@@ -41,45 +59,42 @@ def _nested(value: object, level: int) -> str:
     return text.replace("\n", "\n" + "  " * level)
 
 
-def _float_text(value: float) -> str:
-    """A float as ``json.dumps`` spells it (``allow_nan`` on)."""
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
+def _all_flat(rows: list) -> bool:
+    """True when every row is a non-empty list or tuple of exact scalar
+    cells.
 
-
-_CONSTANT_TEXT = {None: "null", True: "true", False: "false"}.__getitem__
-
-#: Exact cell type -> the cell's JSON text.  Subclasses (an ``IntEnum``,
-#: a ``str`` subclass) are left to ``json.dumps``.
-_CELL_TEXT = {
-    str: encode_basestring_ascii,
-    type(None): _CONSTANT_TEXT,
-    bool: _CONSTANT_TEXT,
-    int: int.__repr__,
-    float: _float_text,
-}
-
-
-def _row_text(row: object) -> str:
-    """``_nested(row, 2)``: one element of the streamed array.
-
-    A non-empty list or tuple of scalars is encoded cell by cell; every
-    other row (an object-listing dict, nested values, an empty row) goes
-    through ``json.dumps``.
+    Only such rows may take the C path: there a raw newline appears
+    only in a separator (the encoder escapes newlines inside strings),
+    and a row's closing ``]`` and opening ``[`` sit only on either side
+    of the separator between two rows.  A nested cell would put them
+    between cells too.  The checks run over the whole list at C speed.
     """
-    if type(row) in (list, tuple) and row:
-        try:
-            cells = [_CELL_TEXT[type(cell)](cell) for cell in row]
-        except KeyError:
-            pass
-        else:
-            return "[\n      " + ",\n      ".join(cells) + "\n    ]"
-    return _nested(row, 2)
+    return (
+        _FLAT_ROW_TYPES.issuperset(map(type, rows))
+        and all(rows)
+        and _FLAT_CELL_TYPES.issuperset(map(type, chain.from_iterable(rows)))
+    )
+
+
+def _flat_rows_text(rows: list) -> str:
+    """``_nested(row, 2)`` of each flat row, joined as array elements."""
+    text = _FLAT_ROWS_ENCODER.encode(rows)
+    # text == '[[c,\n      c],\n      [c]]'; keep the cells and lay out
+    # the brackets around and between the rows.
+    return (
+        "[\n      "
+        + text[2:-2].replace("],\n      [", "\n    ],\n    [\n      ")
+        + "\n    ]"
+    )
+
+
+def _element_texts(rows: list) -> list[str]:
+    """``_nested(row, 2)`` of each row, a run of flat rows as one text."""
+    if _all_flat(rows):
+        return [_flat_rows_text(rows)]
+    if len(rows) == 1:
+        return [_nested(rows[0], 2)]
+    return [text for row in rows for text in _element_texts([row])]
 
 
 class StreamJson:
@@ -122,11 +137,17 @@ class StreamJson:
         yield "\n}" if not first else "}"
 
     def _iter_array(self) -> Iterator[str]:
-        first = True
-        for row in self.rows:
-            yield ("[" if first else ",") + "\n    " + _row_text(row)
-            first = False
-        yield "[]" if first else "\n  ]"
+        opening = "["
+        rows = iter(self.rows)
+        for row in rows:
+            batch = [row]
+            if _all_flat(batch):
+                # A flat row opens a batch with the rows that follow it.
+                batch.extend(islice(rows, FLAT_BATCH_ROWS - 1))
+            for text in _element_texts(batch):
+                yield opening + "\n    " + text
+                opening = ","
+        yield "[]" if opening == "[" else "\n  ]"
 
     def encode(self, chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> Iterator[bytes]:
         """UTF-8 body chunks of roughly ``chunk_bytes`` each."""

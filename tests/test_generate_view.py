@@ -1,10 +1,17 @@
 """Tests for GenerateView (paper Figure 5), including a brute-force
 reference implementation the operator must agree with."""
 
+import random
+import sys
+import threading
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gam.enums import CombineMethod
 from repro.gam.errors import ViewGenerationError
+from repro.gam.records import Association
 from repro.operators.generate_view import TargetSpec, generate_view
 from repro.operators.mapping import Mapping
 
@@ -204,3 +211,123 @@ class TestAgainstReference:
             world, "S", objects, spec_list, CombineMethod.parse(combine)
         )
         assert list(view.rows) == expected
+
+
+def shared_world(seed: int, objects: int, terms: int, pairs: int) -> dict:
+    """Hugo and GO mappings over genes ``g0``.. ``g{objects-1}``.
+
+    The associations are in no particular order, as a database may load
+    them, and GO is stored in reverse and inverted, as ``Map`` returns a
+    reverse-stored mapping.
+    """
+    rng = random.Random(seed)
+    genes = [f"g{i}" for i in range(objects)]
+
+    def shuffled(source: str, target: str, pairs: set) -> Mapping:
+        associations = [Association(*pair) for pair in sorted(pairs)]
+        rng.shuffle(associations)
+        return Mapping(source, target, tuple(associations))
+
+    hugo = shuffled(
+        "S",
+        "Hugo",
+        {(gene, f"H{rng.randrange(4)}") for gene in genes[::2] for _ in range(2)},
+    )
+    go_pairs = {
+        (f"T{rng.randrange(terms)}", rng.choice(genes)) for _ in range(pairs)
+    }
+    return {"Hugo": hugo, "GO": shuffled("GO", "S", go_pairs).invert()}
+
+
+def random_query(rng: random.Random, objects: int, terms: int) -> tuple:
+    """An upload (with a few unmapped genes), its target specs with
+    restrict sets and negation, and AND or OR."""
+    upload = {f"g{rng.randrange(objects + 3)}" for _ in range(rng.randint(1, 40))}
+    universes = {
+        "Hugo": [f"H{i}" for i in range(4)],
+        "GO": [f"T{i}" for i in range(terms)],
+    }
+    specs = [
+        TargetSpec.of(
+            name,
+            restrict=(
+                None
+                if rng.random() < 0.5
+                else rng.sample(universes[name], rng.randint(0, 3))
+            ),
+            negated=rng.random() < 0.3,
+        )
+        for name in rng.sample(sorted(universes), rng.randint(1, 2))
+    ]
+    return upload, specs, rng.choice([CombineMethod.AND, CombineMethod.OR])
+
+
+#: Built once: every example below reads the same Mapping instances.
+SHARED_WORLD = shared_world(seed=3, objects=30, terms=8, pairs=70)
+
+
+class TestSharedPartnerIndex:
+    """A cached Mapping serves every view: its partner index is built on
+    first use and read, unchanged, by each view after it."""
+
+    @given(st.lists(st.integers(0, 2**32), min_size=2, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_one_mapping_serves_views_in_a_row(self, seeds):
+        world = SHARED_WORLD
+        indexes = {name: world[name].partner_index() for name in world}
+        for seed in seeds:
+            upload, specs, combine = random_query(
+                random.Random(seed), objects=30, terms=8
+            )
+            view = generate_view(make_resolver(world), "S", upload, specs, combine)
+            expected = reference_generate_view(world, "S", upload, specs, combine)
+            assert list(view.rows) == expected
+        for name, index in indexes.items():
+            assert world[name].partner_index() is index
+
+    def test_concurrent_first_use(self):
+        """8 threads, more than the cores, build views at once over fresh
+        mappings; a tiny switch interval interleaves the index builds."""
+        threads_n, rounds, timeout_s = 8, 4, 60.0
+        shape = {"objects": 400, "terms": 60}
+        rng = random.Random(11)
+        queries = [random_query(rng, **shape) for _ in range(threads_n * 3)]
+        reference_world = shared_world(seed=5, pairs=3000, **shape)
+        expected = [
+            reference_generate_view(reference_world, "S", *query)
+            for query in queries
+        ]
+        failures: list[str] = []
+        threads: list[threading.Thread] = []
+
+        def build(world: dict, barrier: threading.Barrier, first: int) -> None:
+            try:
+                barrier.wait(timeout=timeout_s)
+                for k in range(first, len(queries), threads_n):
+                    view = generate_view(make_resolver(world), "S", *queries[k])
+                    if list(view.rows) != expected[k]:
+                        failures.append(f"query {k}: {view.rows!r}")
+            except Exception as exc:
+                failures.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(rounds):
+                world = shared_world(seed=5, pairs=3000, **shape)
+                barrier = threading.Barrier(threads_n)
+                batch = [
+                    threading.Thread(
+                        target=build, args=(world, barrier, k), daemon=True
+                    )
+                    for k in range(threads_n)
+                ]
+                threads.extend(batch)
+                for thread in batch:
+                    thread.start()
+                for thread in batch:
+                    thread.join(timeout=timeout_s)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not [thread for thread in threads if thread.is_alive()]
+        assert not failures

@@ -86,6 +86,16 @@ class TestDerivedViews:
         assert mapping.targets_of("s1") == ["t1", "t2"]
         assert mapping.targets_of("missing") == []
 
+    def test_partner_index_is_sorted_and_distinct(self):
+        # Stored T -> S in load order, not sorted, with one pair twice.
+        stored = [("t2", "s1"), ("t3", "s2"), ("t1", "s1"), ("t1", "s2")]
+        mapping = Mapping(
+            "T", "S", tuple(Association(*pair) for pair in stored + stored[:1])
+        ).invert()
+        assert mapping.partner_index() == {"s1": ("t1", "t2"), "s2": ("t1", "t3")}
+        assert mapping.partner_index() is mapping.partner_index()
+        assert mapping.targets_of("s1") == ["t1", "t2"]
+
     def test_as_dict_groups_by_source(self):
         mapping = Mapping.build("S", "T", [("s1", "t1"), ("s1", "t2")])
         grouped = mapping.as_dict()

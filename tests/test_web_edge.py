@@ -14,7 +14,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs import MetricsRegistry
@@ -467,12 +467,63 @@ stream_rows = st.one_of(
     ),
 )
 
+#: Strings that spell the brackets and separators the flat-row path lays
+#: out, so a rendering that found row boundaries by text would misplace
+#: them.
+bracket_strings = st.sampled_from(
+    ["[", "]", "{", "}", "[]", "],", "a[b", "],\n      [", "\n    ]", "[\n"]
+)
+body_cells = st.one_of(scalar_cells, bracket_strings)
+flat_body_rows = st.one_of(
+    st.lists(body_cells, min_size=1, max_size=4),
+    st.tuples(body_cells, body_cells, body_cells),
+)
+#: Rows that must not take the flat-row path: scalars, empty rows, dicts,
+#: nested cells.
+odd_body_rows = st.one_of(
+    body_cells,
+    st.sampled_from([[], ()]),
+    st.dictionaries(st.text(max_size=3), body_cells, max_size=3),
+    st.lists(
+        st.one_of(
+            body_cells,
+            st.lists(body_cells, max_size=2),
+            st.tuples(body_cells),
+            st.dictionaries(st.text(max_size=2), body_cells, max_size=2),
+        ),
+        min_size=1,
+        max_size=3,
+    ).filter(lambda row: any(type(cell) in (list, tuple, dict) for cell in row)),
+)
+#: A run of flat rows: a few drawn rows repeated up to 600 times, long
+#: enough to cross any batch boundary of the encoder.
+flat_runs = st.tuples(
+    st.lists(flat_body_rows, min_size=1, max_size=5),
+    st.sampled_from([1, 3, 255, 256, 257, 400, 600]),
+).map(lambda drawn: [drawn[0][i % len(drawn[0])] for i in range(drawn[1])])
+#: Bodies of up to three flat runs, each after up to two odd rows.
+long_bodies = st.lists(
+    st.tuples(st.lists(odd_body_rows, max_size=2), flat_runs),
+    min_size=1,
+    max_size=3,
+).map(lambda segments: [row for odd, run in segments for row in odd + run])
+
 
 class TestStreamJsonEncoder:
     @given(st.lists(stream_rows, max_size=6), st.integers(1, 64))
     @settings(max_examples=300, deadline=None)
     def test_rows_encode_byte_identically(self, rows, chunk_bytes):
         payload = {"source": "S", "rows": None, "total": len(rows)}
+        streamed = StreamJson(dict(payload), "rows", iter(rows))
+        body = b"".join(streamed.encode(chunk_bytes=chunk_bytes))
+        assert body == json.dumps({**payload, "rows": rows}, indent=2).encode()
+
+    @given(long_bodies, st.integers(1, 512))
+    @example([["a[b", ["x"]]], 1)
+    @example([["a[b", "x"]] * 300 + [["a[b", ["x"]]] + [["a[b"]] * 300, 64)
+    @settings(max_examples=150, deadline=None)
+    def test_long_mixed_bodies_encode_byte_identically(self, rows, chunk_bytes):
+        payload = {"columns": ["S", "T"], "rows": None, "row_count": len(rows)}
         streamed = StreamJson(dict(payload), "rows", iter(rows))
         body = b"".join(streamed.encode(chunk_bytes=chunk_bytes))
         assert body == json.dumps({**payload, "rows": rows}, indent=2).encode()
