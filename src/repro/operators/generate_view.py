@@ -1,6 +1,6 @@
 """``GenerateView`` — the annotation-view construction algorithm (Figure 5).
 
-The implementation follows the paper's pseudo-code line by line::
+The paper's pseudo-code::
 
     GenerateView(S, s, T1, t1, ..., Tm, tm, [AND|OR], {negated})
     V = s                                  # all given source objects
@@ -17,6 +17,9 @@ The implementation follows the paper's pseudo-code line by line::
     End For
 
 ``AND`` extends the view with inner joins, ``OR`` with left outer joins.
+Every join is on S, so the implementation determines all m mappings first
+and then builds V in one pass over s: each object's rows are the product
+of its partners in each mi, in target order.
 Mapping determination is delegated to a *resolver* callable so this module
 stays independent of the path finder: the :class:`repro.core.GenMapper`
 facade passes a resolver that first tries ``Map`` and then falls back to a
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections.abc import Callable, Iterable, Sequence
+from itertools import chain, product, repeat
 
 from repro.gam.enums import CombineMethod
 from repro.gam.errors import ViewGenerationError
@@ -37,6 +41,10 @@ from repro.reliability.deadline import check_deadline
 
 #: Resolves the mapping S <-> Ti for a target specification.
 MappingResolver = Callable[[str, "TargetSpec"], Mapping]
+
+#: Accessions assembled between two deadline checks, so that a view over
+#: a whole source stays abortable after its mappings have resolved.
+DEADLINE_STRIDE = 1024
 
 
 @dataclasses.dataclass(frozen=True)
@@ -108,67 +116,70 @@ def generate_view(
         objects=len(relevant),
         combine=combine.value,
     ) as view_span:
-        # V = s: start with all given source objects.
-        view_rows: list[tuple] = [(obj,) for obj in relevant]
+        probes = []
         for spec in targets:
             # One check per target: each target resolves (and possibly
             # composes) a whole mapping, the view's unit of real work.
             check_deadline()
-            with tracer.span(
-                "operator.generate_view.target", target=spec.name
-            ) as span:
-                mapping = resolver(source, spec)
-                sub_mapping = _sub_mapping(mapping, relevant, spec)
-                view_rows = _join(view_rows, sub_mapping, combine)
-                span.tag(rows=len(view_rows))
-        view_span.tag(rows=len(view_rows))
+            with tracer.span("operator.generate_view.target", target=spec.name):
+                probes.append((resolver(source, spec).partner_index(), spec))
+        rows = _assemble(relevant, probes, combine)
+        view_span.tag(rows=len(rows))
     columns = (source, *(spec.name for spec in targets))
-    return AnnotationView(columns, tuple(view_rows))
+    return AnnotationView(columns, tuple(rows))
 
 
-def _sub_mapping(
-    mapping: Mapping, relevant: Sequence[str], spec: TargetSpec
-) -> dict[str, tuple[str | None, ...]]:
-    """The per-target join partners: mi of Figure 5, keyed by S.
+def _assemble(
+    relevant: Sequence[str],
+    probes: Sequence[tuple[dict[str, tuple[str, ...]], TargetSpec]],
+    combine: CombineMethod,
+) -> list[tuple]:
+    """V after all m joins on S, built in one pass over the sorted upload.
 
-    Each relevant object probes the mapping's memoized partner index
-    once, so the cost follows the upload, not the mapping.  The index's
-    tuples are already distinct and sorted; a restrict set filters them
-    in order.
+    Every join is on S, so an accession's rows depend on its own partners
+    alone: one tuple per target (mi of Figure 5, see :func:`_partners`).
+    Its rows are the product of its tuples in target order, which is the
+    row order of the nested joins.  An empty tuple yields no row, as AND's
+    inner join does; OR's left outer join fills the slot with NULL.
     """
-    index = mapping.partner_index()
+    fill = (None,) if combine == CombineMethod.OR else ()
+    rows: list[tuple] = []
+    for start in range(0, len(relevant), DEADLINE_STRIDE):
+        check_deadline()
+        chunk = relevant[start : start + DEADLINE_STRIDE]
+        columns = [_partners(chunk, index, spec, fill) for index, spec in probes]
+        # product((accession,), *tuples) for each accession, all in C.
+        rows.extend(chain.from_iterable(map(product, zip(chunk), *columns)))
+    return rows
+
+
+def _partners(
+    chunk: Sequence[str],
+    index: dict[str, tuple[str, ...]],
+    spec: TargetSpec,
+    fill: tuple[None, ...],
+) -> Iterable[tuple[str | None, ...]]:
+    """One target's join partners of each accession in ``chunk``, in order.
+
+    The mapping's partner index holds each accession's distinct partners,
+    sorted; a restrict set filters them in order.  ``fill`` stands in for
+    an accession without partners.
+    """
     restrict = spec.restrict
-    partners: dict[str, tuple[str | None, ...]] = {}
-    for obj in relevant:
-        targets = index.get(obj, ())
-        # mi = RestrictRange(RestrictDomain(Mi, s), ti), for this object
+    if restrict is None and not spec.negated:
+        return map(index.get, chunk, repeat(fill))
+    column = []
+    for accession in chunk:
+        targets = index.get(accession, ())
+        # mi = RestrictRange(RestrictDomain(Mi, s), ti), for this accession
         hits = (
             targets
             if restrict is None
             else tuple(target for target in targets if target in restrict)
         )
-        if not spec.negated:
-            if hits:
-                partners[obj] = hits
-        elif not hits:
-            # obj is in si' = s \ Domain(mi): mi' = RestrictDomain(Mi, si')
+        if spec.negated:
+            # accession in si' = s \ Domain(mi): mi' = RestrictDomain(Mi, si')
             # right outer join si' keeps it, as NULL when it has no partner.
-            partners[obj] = targets or (None,)
-    return partners
-
-
-def _join(
-    view_rows: list[tuple],
-    sub_mapping: dict[str, tuple[str | None, ...]],
-    combine: CombineMethod,
-) -> list[tuple]:
-    """V = V inner/left-outer join mi on S."""
-    joined: list[tuple] = []
-    for row in view_rows:
-        partners = sub_mapping.get(row[0], ())
-        if partners:
-            joined.extend(row + (partner,) for partner in partners)
-        elif combine == CombineMethod.OR:
-            joined.append(row + (None,))
-        # AND: inner join — rows without a partner are dropped.
-    return joined
+            hits = () if hits else targets or (None,)
+        column.append(hits or fill)
+    return column

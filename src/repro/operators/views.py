@@ -44,12 +44,13 @@ class AnnotationView:
     rows: tuple[Row, ...]
 
     def __post_init__(self) -> None:
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError(
-                    f"row width {len(row)} does not match"
-                    f" {len(self.columns)} columns: {row!r}"
-                )
+        width = len(self.columns)
+        # One scan at C speed; the offending row is looked up only on failure.
+        if set(map(len, self.rows)) - {width}:
+            row = next(row for row in self.rows if len(row) != width)
+            raise ValueError(
+                f"row width {len(row)} does not match {width} columns: {row!r}"
+            )
 
     @property
     def source_column(self) -> str:

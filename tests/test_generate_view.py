@@ -12,8 +12,14 @@ from hypothesis import strategies as st
 from repro.gam.enums import CombineMethod
 from repro.gam.errors import ViewGenerationError
 from repro.gam.records import Association
-from repro.operators.generate_view import TargetSpec, generate_view
+from repro.operators.generate_view import (
+    DEADLINE_STRIDE,
+    TargetSpec,
+    generate_view,
+)
 from repro.operators.mapping import Mapping
+from repro.reliability.deadline import DeadlineExceeded, deadline_scope
+from tests.test_reliability import FakeClock
 
 
 def make_resolver(mappings):
@@ -211,6 +217,31 @@ class TestAgainstReference:
             world, "S", objects, spec_list, CombineMethod.parse(combine)
         )
         assert list(view.rows) == expected
+
+
+class TestDeadline:
+    def test_pass_over_the_upload_checks_the_deadline(self):
+        """A budget spent while the last mapping resolves still aborts the
+        view: the pass over the accessions checks the deadline too."""
+        clock = FakeClock()
+        objects = [f"g{i:05d}" for i in range(DEADLINE_STRIDE + 1)]
+        mappings = {
+            "Hugo": Mapping.build("S", "Hugo", [(g, "H") for g in objects]),
+            "GO": Mapping.build("S", "GO", [(g, "G") for g in objects]),
+        }
+
+        def resolver(source, spec):
+            if spec.name == "GO":
+                clock.advance(1.0)
+            return mappings[spec.name]
+
+        specs = [TargetSpec.of("Hugo"), TargetSpec.of("GO")]
+        with deadline_scope(0.5, clock=clock):
+            with pytest.raises(DeadlineExceeded):
+                generate_view(resolver, "S", objects, specs, "AND")
+        # Without the deadline the same view is complete.
+        view = generate_view(resolver, "S", objects, specs, "AND")
+        assert len(view) == len(objects)
 
 
 def shared_world(seed: int, objects: int, terms: int, pairs: int) -> dict:

@@ -25,6 +25,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="width"):
             AnnotationView(("A", "B"), (("only-one",),))
 
+    @pytest.mark.parametrize("bad", [("x",), ("x", "y", "z")])
+    def test_row_width_error_names_the_row(self, bad):
+        rows = (("a", "b"), ("c", None), bad, ("d",))
+        with pytest.raises(ValueError) as excinfo:
+            AnnotationView(("A", "B"), rows)
+        assert str(excinfo.value) == (
+            f"row width {len(bad)} does not match 2 columns: {bad!r}"
+        )
+
     def test_source_column_is_first(self, view):
         assert view.source_column == "LocusLink"
 

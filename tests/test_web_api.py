@@ -167,6 +167,36 @@ class TestQueryEndpoints:
         assert status == 400
         assert "malformed" in payload["error"]
 
+    @pytest.mark.parametrize(
+        ("field", "change"),
+        [
+            ("accessions", {"accessions": [1, "353"]}),
+            ("source", {"source": ["LocusLink"]}),
+            ("combine", {"combine": "XOR"}),
+            ("accessions", {"accessions": "353"}),
+            ("negated", {"targets": [{"name": "GO", "negated": "no"}]}),
+            ("via", {"targets": [{"name": "GO", "via": "Unigene"}]}),
+        ],
+        ids=[
+            "non-string-accession",
+            "list-source",
+            "unknown-combine",
+            "string-accessions",
+            "string-negated",
+            "string-via",
+        ],
+    )
+    def test_mistyped_spec_field_is_400_naming_it(self, app, field, change):
+        body = {
+            "source": "LocusLink",
+            "accessions": ["353"],
+            "targets": [{"name": "GO"}],
+            **change,
+        }
+        status, payload = call(app, "POST", "/query", body=body)
+        assert status == 400, payload
+        assert field in payload["error"]
+
     def test_bad_query_language_is_400(self, app):
         status, payload = call(
             app, "POST", "/query", body={"query": "SELECT * FROM genes"}

@@ -2,8 +2,12 @@
 layer: a threaded server over an on-disk WAL database must serve
 overlapping read requests correctly from many client threads."""
 
+import contextlib
 import json
+import socket
+import sys
 import threading
+import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
@@ -29,13 +33,22 @@ def disk_genmapper(tmp_path_factory, universe_dir):
 
 @pytest.fixture()
 def server(disk_genmapper):
-    app = create_app(disk_genmapper)
-    with make_threading_server("127.0.0.1", 0, app, quiet=True) as srv:
+    with serving(create_app(disk_genmapper)) as (srv, base):
         assert isinstance(srv, ThreadingWSGIServer)
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
-        yield f"http://127.0.0.1:{srv.server_address[1]}"
+        yield base
+
+
+@contextlib.contextmanager
+def serving(app):
+    """Serve ``app`` on a free port until the block ends."""
+    srv = make_threading_server("127.0.0.1", 0, app, quiet=True)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield srv, f"http://127.0.0.1:{srv.server_address[1]}"
+    finally:
         srv.shutdown()
+        srv.server_close()
         thread.join(5)
 
 
@@ -52,6 +65,17 @@ def _post(base, path, body):
     )
     with urllib.request.urlopen(request, timeout=10) as response:
         return response.status, json.loads(response.read().decode("utf-8"))
+
+
+def _upload(genmapper: GenMapper) -> dict:
+    """A Figure 6 upload: 200 LocusLink genes, two targets, OR."""
+    accessions = sorted(genmapper.repository.accessions_of("LocusLink"))[:200]
+    return {
+        "source": "LocusLink",
+        "accessions": accessions,
+        "targets": [{"name": "Hugo"}, {"name": "GO"}],
+        "combine": "OR",
+    }
 
 
 def test_overlapping_query_and_map_requests(server):
@@ -123,25 +147,14 @@ def test_cold_cache_stampede_loads_once(tmp_path, universe_dir):
     gm._map_uncached = counting
     app = create_app(gm)
     try:
-        with make_threading_server("127.0.0.1", 0, app, quiet=True) as srv:
-            thread = threading.Thread(target=srv.serve_forever, daemon=True)
-            thread.start()
-            base = f"http://127.0.0.1:{srv.server_address[1]}"
-            try:
-                with ThreadPoolExecutor(
-                    max_workers=N_CLIENT_THREADS
-                ) as executor:
-                    results = list(
-                        executor.map(
-                            lambda _: _get(
-                                base, "/map?source=NetAffx&target=GO"
-                            ),
-                            range(N_CLIENT_THREADS),
-                        )
+        with serving(app) as (__, base):
+            with ThreadPoolExecutor(max_workers=N_CLIENT_THREADS) as executor:
+                results = list(
+                    executor.map(
+                        lambda _: _get(base, "/map?source=NetAffx&target=GO"),
+                        range(N_CLIENT_THREADS),
                     )
-            finally:
-                srv.shutdown()
-                thread.join(5)
+                )
         stats = gm.cache_stats()
     finally:
         gm.close()
@@ -162,3 +175,60 @@ def test_health_under_concurrent_load(server):
     with ThreadPoolExecutor(max_workers=4) as executor:
         results = list(executor.map(probe, range(12)))
     assert results == [(200, "ok")] * 12
+
+
+def test_uploads_under_stress(disk_genmapper):
+    """16 clients x 25 uploads over a 4-connection pool, with a tiny
+    switch interval: every upload is answered in full, and the pool never
+    opens more connections than its bound."""
+    clients, uploads, timeout_s = 16, 25, 120.0
+    upload = _upload(disk_genmapper)
+    failures: list[str] = []
+    with serving(create_app(disk_genmapper)) as (__, base):
+        status, reference = _post(base, "/query", upload)
+        assert status == 200 and reference["row_count"] > 0
+
+        def client(k: int) -> None:
+            try:
+                for i in range(uploads):
+                    status, payload = _post(base, "/query", upload)
+                    if status != 200 or payload["rows"] != reference["rows"]:
+                        failures.append(f"client {k} upload {i}: {status}")
+            except Exception as exc:
+                failures.append(f"client {k}: {exc!r}")
+
+        threads = [
+            threading.Thread(target=client, args=(k,), daemon=True)
+            for k in range(clients)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=timeout_s)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not [thread for thread in threads if thread.is_alive()]
+        assert failures == []
+        assert disk_genmapper.db.pool.size <= 4
+
+
+def test_stalled_client_delays_no_upload(disk_genmapper):
+    """A client that connects and sends nothing holds one request thread;
+    uploads are served beside it, and the server shuts down and closes
+    without waiting for it."""
+    upload = _upload(disk_genmapper)
+    with serving(create_app(disk_genmapper)) as (srv, base):
+        with socket.create_connection(srv.server_address, timeout=10):
+            for __ in range(3):
+                started = time.monotonic()
+                assert _post(base, "/query", upload)[0] == 200
+                assert time.monotonic() - started < 5
+            closer = threading.Thread(
+                target=lambda: (srv.shutdown(), srv.server_close()), daemon=True
+            )
+            closer.start()
+            closer.join(5)
+            assert not closer.is_alive()
